@@ -1,6 +1,7 @@
 #include "src/sim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -254,6 +255,7 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
   dma_bytes_per_node_.assign(nodes, 0.0);
   mc_scratch_.assign(nodes, 0.0);
   link_scratch_.assign(topo.num_links(), 0.0);
+  util_history_.assign(2 * static_cast<size_t>(nodes + topo.num_links()), 0.0);
   pair_cycles_.assign(static_cast<size_t>(nodes) * nodes, 0.0);
   pair_valid_.assign(static_cast<size_t>(nodes) * nodes, 0);
   cpu_sharers_.assign(topo.num_cpus(), 0);
@@ -305,6 +307,20 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
         "engine.solver.iterations", "iterations",
         "Picard iterations per fixed-point solve",
         {1, 2, 4, 6, 8, 12, 16, 20, 24, 32, 48, 64});
+    solver_residual_ = m.RegisterHistogram(
+        "engine.solver.residual", "utilization",
+        "Undamped max |new - old| controller/link utilization change at a solve's final "
+        "iteration (rounding level once the damped update stops changing the state)",
+        {0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 1});
+    solver_exit_fixed_point_ = m.RegisterCounter(
+        "engine.solver.exit.fixed_point", "solves",
+        "Solves that stopped at a fixed point: the damped update changed nothing");
+    solver_exit_two_cycle_ = m.RegisterCounter(
+        "engine.solver.exit.two_cycle", "solves",
+        "Solves that stopped on an exact period-2 repeat of the utilization state");
+    solver_exit_cap_ = m.RegisterCounter(
+        "engine.solver.exit.cap", "solves",
+        "Solves that ran every fixed_point_iterations without a repeat (unconverged)");
     refresh_seconds_ = m.RegisterHistogram(
         "engine.placement.refresh_seconds", "s",
         "Wall-clock cost of one epoch's placement refresh phase");
@@ -829,8 +845,19 @@ void Engine::SolveUtilizationFixedPoint(double dt) {
   const LatencyParams& lp = latency_->params();
 
   ComputeCpuSharers();
+  // Exact early exit: once the utilization state repeats bit for bit, every
+  // remaining iteration is already determined, so stopping leaves the same
+  // final state (and the rates/latencies/traffic computed from the state
+  // before it) as running all `cap` iterations. Period 2 stops at the same
+  // phase of the cycle iteration `cap` would end on.
+  const bool early_exit = config_.fixed_point_tolerance >= 0.0;
+  const int cap = config_.fixed_point_iterations;
+  const size_t width = static_cast<size_t>(nodes + topo.num_links());
+  int stop = cap;
   last_fixed_point_iterations_ = 0;
-  for (int iter = 0; iter < config_.fixed_point_iterations; ++iter) {
+  last_fixed_point_exit_ = FixedPointExit::kCap;
+  last_fixed_point_residual_ = 0.0;
+  for (int iter = 0; iter < stop; ++iter) {
     // Rates from current utilizations. AccessCycles is a pure function of
     // the (source node, target node) pair while the utilizations are frozen
     // for the iteration, and threads pinned to one node share its rows, so
@@ -957,21 +984,46 @@ void Engine::SolveUtilizationFixedPoint(double dt) {
       link_new[l] /= capacity;
     }
 
+    // Damped update. The state before it is saved into this iteration's
+    // history slot; the other slot holds the state from one iteration
+    // earlier still, which the updated state is compared against.
     const double damp = config_.utilization_damping;
+    double* saved = &util_history_[(iter & 1) * width];
+    const double* two_back = &util_history_[((iter + 1) & 1) * width];
+    bool repeats = iter >= 1;
     double max_delta = 0.0;
+    double residual = 0.0;
+    auto update = [&](double& util, double target, size_t slot) {
+      const double updated = (1.0 - damp) * util + damp * target;
+      // std::max drops a NaN, which would then pass for a fixed point.
+      XNUMA_CHECK(std::isfinite(updated));
+      max_delta = std::max(max_delta, std::fabs(updated - util));
+      residual = std::max(residual, std::fabs(target - util));
+      repeats = repeats && std::bit_cast<uint64_t>(updated) ==
+                               std::bit_cast<uint64_t>(two_back[slot]);
+      saved[slot] = util;
+      util = updated;
+    };
     for (NodeId n = 0; n < nodes; ++n) {
-      const double updated = (1.0 - damp) * mc_util_[n] + damp * mc_new[n];
-      max_delta = std::max(max_delta, std::fabs(updated - mc_util_[n]));
-      mc_util_[n] = updated;
+      update(mc_util_[n], mc_new[n], static_cast<size_t>(n));
     }
     for (LinkId l = 0; l < topo.num_links(); ++l) {
-      const double updated = (1.0 - damp) * link_util_[l] + damp * link_new[l];
-      max_delta = std::max(max_delta, std::fabs(updated - link_util_[l]));
-      link_util_[l] = updated;
+      update(link_util_[l], link_new[l], static_cast<size_t>(nodes + l));
     }
     last_fixed_point_iterations_ = iter + 1;
-    if (config_.fixed_point_tolerance > 0.0 && max_delta <= config_.fixed_point_tolerance) {
-      break;  // converged: further iterations would change nothing material
+    last_fixed_point_residual_ = residual;
+    if (!early_exit || last_fixed_point_exit_ != FixedPointExit::kCap) {
+      continue;
+    }
+    if (max_delta <= config_.fixed_point_tolerance) {
+      last_fixed_point_exit_ = FixedPointExit::kFixedPoint;
+      break;
+    }
+    if (repeats) {
+      // The states alternate from here on: an even number of remaining
+      // iterations ends on this state, an odd number on the next one.
+      last_fixed_point_exit_ = FixedPointExit::kTwoCycle;
+      stop = (cap - iter - 1) % 2 == 0 ? iter + 1 : iter + 2;
     }
   }
   fixed_point_iterations_total_ += last_fixed_point_iterations_;
@@ -1513,6 +1565,18 @@ RunResult Engine::Run() {
     if (obs_ != nullptr) {
       epoch_count_->Increment();
       solver_iterations_->Observe(static_cast<double>(last_fixed_point_iterations_));
+      solver_residual_->Observe(last_fixed_point_residual_);
+      switch (last_fixed_point_exit_) {
+        case FixedPointExit::kFixedPoint:
+          solver_exit_fixed_point_->Increment();
+          break;
+        case FixedPointExit::kTwoCycle:
+          solver_exit_two_cycle_->Increment();
+          break;
+        case FixedPointExit::kCap:
+          solver_exit_cap_->Increment();
+          break;
+      }
     }
 
     // Commit the hardware counters for this epoch.

@@ -57,9 +57,15 @@ struct EngineConfig {
   // Picard iteration needs damping < 2/(1+|d'|) to contract.
   int fixed_point_iterations = 24;
   double utilization_damping = 0.15;
-  // Early exit for the Picard iteration: stop once the largest per-iteration
-  // utilization change (controllers and links) drops below this tolerance.
-  // 0 keeps the fixed iteration count — bit-identical legacy behavior.
+  // Early exit for the Picard iteration (docs/MODEL.md §9):
+  //   0   (default) stop only once the controller+link utilization state
+  //       repeats bit for bit — period 1 (the damped update changed nothing)
+  //       or period 2 (the state alternates). Every remaining iteration is
+  //       then already determined, so results are bit-identical to running
+  //       all fixed_point_iterations.
+  //   > 0 additionally stop once the largest per-iteration utilization
+  //       change is within this tolerance; results move by up to that much.
+  //   < 0 no early exit: the fixed-count solve, kept as the tests' oracle.
   double fixed_point_tolerance = 0.0;
   // Event-driven placement refresh (the default): the engine keeps per-page
   // placement and mass aggregates incrementally from the backend/guest dirty
@@ -110,6 +116,13 @@ struct EngineConfig {
   // Deterministic fault injection (disabled by default); installed into the
   // hypervisor's injector when the engine is constructed.
   FaultPlan fault;
+};
+
+// Why a utilization fixed-point solve stopped (docs/MODEL.md §9).
+enum class FixedPointExit {
+  kFixedPoint,  // the damped update changed nothing (or stayed within a positive tolerance)
+  kTwoCycle,    // the state repeated with period 2, so the rest was already determined
+  kCap,         // ran all fixed_point_iterations without a repeat: unconverged
 };
 
 struct JobSpec {
@@ -234,6 +247,7 @@ class Engine : public PageAccessSource {
   // Picard iterations consumed by the most recent fixed-point solve, and the
   // running total / epoch count over the whole run (early-exit telemetry).
   int last_fixed_point_iterations() const { return last_fixed_point_iterations_; }
+  FixedPointExit last_fixed_point_exit() const { return last_fixed_point_exit_; }
   int64_t fixed_point_iterations_total() const { return fixed_point_iterations_total_; }
   int64_t epochs_run() const { return epochs_run_; }
 
@@ -316,6 +330,10 @@ class Engine : public PageAccessSource {
   // ---- Fixed-point solver caches (allocated once, reused per iteration). --
   std::vector<double> mc_scratch_;
   std::vector<double> link_scratch_;
+  // The controller+link utilization states of the two previous iterations
+  // (alternating slots of nodes + links values each), for the exact period-2
+  // exit.
+  std::vector<double> util_history_;
   // Per-iteration (src node, dst node) latency memo: AccessCycles is a pure
   // function of the pair once the utilizations are frozen for the iteration,
   // and every thread on a node shares its rows.
@@ -349,6 +367,10 @@ class Engine : public PageAccessSource {
   // rescan that CpuShare used to do per thread per iteration).
   std::vector<int> cpu_sharers_;
   int last_fixed_point_iterations_ = 0;
+  FixedPointExit last_fixed_point_exit_ = FixedPointExit::kCap;
+  // Undamped max |new - old| utilization change at the last solve's final
+  // iteration (rounding level once the damped update stops changing it).
+  double last_fixed_point_residual_ = 0.0;
   int64_t fixed_point_iterations_total_ = 0;
   int64_t epochs_run_ = 0;
 
@@ -369,6 +391,10 @@ class Engine : public PageAccessSource {
   Counter* dirty_event_count_ = nullptr;
   Histogram* solver_seconds_ = nullptr;
   Histogram* solver_iterations_ = nullptr;
+  Histogram* solver_residual_ = nullptr;
+  Counter* solver_exit_fixed_point_ = nullptr;
+  Counter* solver_exit_two_cycle_ = nullptr;
+  Counter* solver_exit_cap_ = nullptr;
   Histogram* refresh_seconds_ = nullptr;
   Gauge* max_mc_util_gauge_ = nullptr;
   Gauge* max_link_util_gauge_ = nullptr;

@@ -1,17 +1,26 @@
-// Tests for the fixed-point solver's early-exit tolerance and iteration
-// telemetry.
+// Tests for the fixed-point solver's early exits and iteration telemetry.
+//
+// The default exit (fixed_point_tolerance = 0) stops only once the
+// utilization state repeats exactly, so it must reproduce the fixed-count
+// solve (fixed_point_tolerance < 0) bit for bit; that solve is the oracle.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 
+#include "src/core/experiment.h"
 #include "src/guest/guest_os.h"
 #include "src/hv/hypervisor.h"
 #include "src/numa/latency_model.h"
 #include "src/numa/topology.h"
+#include "src/obs/obs.h"
 #include "src/sim/engine.h"
 #include "src/workload/app_profile.h"
+#include "tests/outcome_matchers.h"
 
 namespace xnuma {
 namespace {
@@ -65,17 +74,18 @@ struct FpMachine {
   }
 };
 
-TEST(FixedPointTest, ZeroToleranceRunsEveryIteration) {
+TEST(FixedPointTest, NegativeToleranceRunsEveryIteration) {
   const AppProfile app = SmallApp();
   EngineConfig ec;
   ec.seed = 5;
-  ec.fixed_point_tolerance = 0.0;  // legacy behavior: fixed iteration count
+  ec.fixed_point_tolerance = -1.0;  // the oracle: fixed iteration count
   FpMachine m(ec, app);
   RunResult r = m.engine->Run();
   ASSERT_TRUE(r.jobs.back().finished);
   ASSERT_GT(m.engine->epochs_run(), 0);
   EXPECT_EQ(m.engine->fixed_point_iterations_total(),
             m.engine->epochs_run() * ec.fixed_point_iterations);
+  EXPECT_EQ(m.engine->last_fixed_point_exit(), FixedPointExit::kCap);
 }
 
 TEST(FixedPointTest, EarlyExitSavesIterationsAndMatchesWithinTolerance) {
@@ -86,7 +96,7 @@ TEST(FixedPointTest, EarlyExitSavesIterationsAndMatchesWithinTolerance) {
   for (int i = 0; i < 2; ++i) {
     EngineConfig ec;
     ec.seed = 5;
-    ec.fixed_point_tolerance = i == 0 ? 0.0 : 1e-7;
+    ec.fixed_point_tolerance = i == 0 ? -1.0 : 1e-7;
     FpMachine m(ec, app);
     RunResult r = m.engine->Run();
     ASSERT_TRUE(r.jobs.back().finished);
@@ -122,6 +132,86 @@ TEST(FixedPointTest, OverloadStillTerminatesAtIterationCap) {
             m.engine->epochs_run() * ec.fixed_point_iterations);
   EXPECT_GT(m.engine->fixed_point_iterations_total(), 0);
 }
+
+TEST(FixedPointTest, NonFiniteUtilizationFailsLoudly) {
+  // A NaN utilization must abort the solve, not pass for a fixed point
+  // (std::max drops NaN, so max_delta alone would read 0).
+  const AppProfile app = SmallApp();
+  EngineConfig ec;
+  ec.seed = 5;
+  ec.utilization_damping = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(
+      {
+        FpMachine m(ec, app);
+        m.engine->Run();
+      },
+      "isfinite");
+}
+
+// Apps shrunk as in paper_regression_test so the whole matrix stays fast.
+AppProfile Shrunk(const AppProfile& full, double seconds = 1.2) {
+  AppProfile app = full;
+  const double scale = seconds / app.nominal_seconds;
+  app.nominal_seconds = seconds;
+  app.disk_read_mb *= scale;
+  return app;
+}
+
+// One metric's snapshot: `count` is a counter's value or a histogram's
+// observation count, `value` a histogram's sum.
+MetricSnapshot Metric(const Observability& obs, const std::string& name) {
+  for (const MetricSnapshot& m : obs.metrics().Snapshot()) {
+    if (m.name == name) {
+      return m;
+    }
+  }
+  ADD_FAILURE() << "metric " << name << " not registered";
+  return {};
+}
+
+// The parameter is the iteration cap: 23 and 24 put the period-2 exit on
+// both parities of the remaining iteration count (stop now / one more).
+class FixedPointOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FixedPointOracleTest, DefaultMatchesFixedCountSolveBitForBit) {
+  const int cap = GetParam();
+  Observability fast_obs;
+  Observability oracle_obs;
+  for (const AppProfile& full : AllApps()) {
+    const AppProfile app = Shrunk(full);
+    for (const PolicyConfig& policy : XenPolicyCandidates()) {
+      RunOptions fast;
+      fast.engine.fixed_point_iterations = cap;
+      fast.obs = &fast_obs;
+      RunOptions oracle = fast;
+      oracle.engine.fixed_point_tolerance = -1.0;
+      oracle.obs = &oracle_obs;
+      const StackConfig stack = XenPlusStack(policy);
+      ExpectSameResult(RunSingleApp(app, stack, fast), RunSingleApp(app, stack, oracle),
+                       app.name + " " + stack.label);
+    }
+  }
+
+  const int64_t epochs = Metric(oracle_obs, "engine.epochs").count;
+  ASSERT_GT(epochs, 0);
+  EXPECT_EQ(Metric(fast_obs, "engine.epochs").count, epochs);
+  // The oracle runs every iteration of every solve and never exits early.
+  EXPECT_EQ(Metric(oracle_obs, "engine.solver.iterations").value,
+            static_cast<double>(epochs * cap));
+  EXPECT_EQ(Metric(oracle_obs, "engine.solver.exit.cap").count, epochs);
+  // The default does strictly less work, through both exact exits.
+  EXPECT_LT(Metric(fast_obs, "engine.solver.iterations").value,
+            Metric(oracle_obs, "engine.solver.iterations").value);
+  const int64_t fixed_point = Metric(fast_obs, "engine.solver.exit.fixed_point").count;
+  const int64_t two_cycle = Metric(fast_obs, "engine.solver.exit.two_cycle").count;
+  EXPECT_GT(fixed_point, 0);
+  EXPECT_GT(two_cycle, 0);
+  EXPECT_EQ(fixed_point + two_cycle + Metric(fast_obs, "engine.solver.exit.cap").count, epochs);
+  // One residual observation per solve.
+  EXPECT_EQ(Metric(fast_obs, "engine.solver.residual").count, epochs);
+}
+
+INSTANTIATE_TEST_SUITE_P(Caps, FixedPointOracleTest, ::testing::Values(23, 24));
 
 }  // namespace
 }  // namespace xnuma

@@ -116,16 +116,20 @@ TEST_P(ObsDifferentialTest, AttachedObservabilityIsBitIdentical) {
   // And the attached layer must actually have recorded the run: epochs
   // advanced, page faults counted consistently with the sim's own numbers.
   std::vector<MetricSnapshot> snap = obs.metrics().Snapshot();
-  int64_t epochs = 0, hv_faults = 0;
+  int64_t epochs = 0, hv_faults = 0, solver_exits = 0;
   for (const MetricSnapshot& m : snap) {
     if (m.name == "engine.epochs") {
       epochs = m.count;
     } else if (m.name == "hv.page_faults") {
       hv_faults = m.count;
+    } else if (m.name.starts_with("engine.solver.exit.")) {
+      solver_exits += m.count;
     }
   }
   EXPECT_GT(epochs, 0);
   EXPECT_EQ(hv_faults, on.hv_page_faults);
+  // Every solve ends through exactly one exit.
+  EXPECT_EQ(solver_exits, epochs);
   EXPECT_GT(obs.tracer().size(), 0u);
 }
 
