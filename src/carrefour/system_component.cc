@@ -4,7 +4,12 @@ namespace xnuma {
 
 CarrefourSystemComponent::CarrefourSystemComponent(Hypervisor& hv, const PerfCounters& counters,
                                                    PageAccessSource& sampler)
-    : hv_(&hv), counters_(&counters), sampler_(&sampler) {}
+    : hv_(&hv), counters_(&counters), sampler_(&sampler), obs_(hv.observability()) {
+  if (obs_ != nullptr) {
+    scan_seconds_ = obs_->metrics().RegisterHistogram(
+        "carrefour.scan_seconds", "s", "Wall-clock cost of one hot-page scan");
+  }
+}
 
 const TrafficSnapshot& CarrefourSystemComponent::ReadMetrics() const {
   return counters_->last_epoch();
@@ -12,6 +17,7 @@ const TrafficSnapshot& CarrefourSystemComponent::ReadMetrics() const {
 
 std::vector<PageAccessSample> CarrefourSystemComponent::ReadHotPages(DomainId domain,
                                                                      int max_pages) {
+  XNUMA_TRACE_SCOPE(obs_, "carrefour_scan", "carrefour", scan_seconds_);
   std::vector<PageAccessSample> samples;
   sampler_->SampleHotPages(domain, max_pages, &samples);
   // Resolve through the TLB-fronted run lookup: hot pages cluster, so one

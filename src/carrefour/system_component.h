@@ -18,6 +18,7 @@
 #include "src/common/types.h"
 #include "src/hv/hypervisor.h"
 #include "src/numa/perf_counters.h"
+#include "src/obs/obs.h"
 
 namespace xnuma {
 
@@ -32,7 +33,9 @@ class CarrefourSystemComponent {
   const TrafficSnapshot& ReadMetrics() const;
 
   // Hottest pages of `domain`, most accessed first, with per-source-node
-  // rates (IBS attribution).
+  // rates (IBS attribution). The one entry point of every hot-page scan —
+  // Carrefour's and the auto-selector's — so each one records the
+  // `carrefour_scan` span and the `carrefour.scan_seconds` histogram.
   std::vector<PageAccessSample> ReadHotPages(DomainId domain, int max_pages);
 
   // Migrates one physical page of `domain` through the internal interface
@@ -64,6 +67,9 @@ class CarrefourSystemComponent {
   Hypervisor* hv_;
   const PerfCounters* counters_;
   PageAccessSource* sampler_;
+  // Inherited from the hypervisor at construction (null = disabled).
+  Observability* obs_ = nullptr;
+  Histogram* scan_seconds_ = nullptr;
   int64_t migrations_ = 0;
   int64_t replications_ = 0;
   int64_t translation_replications_ = 0;

@@ -14,7 +14,7 @@ void CarrefourUserComponent::set_observability(Observability* obs) {
     tick_count_ = backoff_skip_count_ = interleave_count_ = locality_count_ = nullptr;
     replication_count_ = translation_replication_count_ = nullptr;
     failed_migration_count_ = nullptr;
-    scan_seconds_ = migrate_seconds_ = nullptr;
+    migrate_seconds_ = nullptr;
     return;
   }
   MetricsRegistry& m = obs_->metrics();
@@ -35,8 +35,6 @@ void CarrefourUserComponent::set_observability(Observability* obs) {
       "Per-node P2M replicas refreshed by the translation extension");
   failed_migration_count_ = m.RegisterCounter(
       "carrefour.failed_migrations", "pages", "Migrations the heuristics could not commit");
-  scan_seconds_ = m.RegisterHistogram(
-      "carrefour.scan_seconds", "s", "Wall-clock cost of one hot-page scan");
   migrate_seconds_ = m.RegisterHistogram(
       "carrefour.migrate_seconds", "s",
       "Wall-clock cost of one tick's migration/replication loops");
@@ -84,11 +82,8 @@ CarrefourTickStats CarrefourUserComponent::Tick(DomainId domain) {
     return stats;
   }
 
-  std::vector<PageAccessSample> hot;
-  {
-    XNUMA_TRACE_SCOPE(obs_, "carrefour_scan", "carrefour", scan_seconds_);
-    hot = system_->ReadHotPages(domain, config_.hot_pages_per_tick);
-  }
+  const std::vector<PageAccessSample> hot =
+      system_->ReadHotPages(domain, config_.hot_pages_per_tick);
 
   XNUMA_TRACE_SCOPE(obs_, "carrefour_migrate", "carrefour", migrate_seconds_);
   int budget = config_.max_migrations_per_tick;

@@ -122,7 +122,6 @@ class CarrefourUserComponent {
   Counter* replication_count_ = nullptr;
   Counter* translation_replication_count_ = nullptr;
   Counter* failed_migration_count_ = nullptr;
-  Histogram* scan_seconds_ = nullptr;
   Histogram* migrate_seconds_ = nullptr;
 };
 

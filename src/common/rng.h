@@ -8,6 +8,7 @@
 #ifndef XENNUMA_SRC_COMMON_RNG_H_
 #define XENNUMA_SRC_COMMON_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace xnuma {
@@ -46,6 +47,12 @@ class Rng {
 
   // Normal(0, 1) via Box-Muller; deterministic for a given seed.
   double NextGaussian();
+
+  // Writes `n` Normal(0, 1) values to `out`, bit-identical to `n` successive
+  // NextGaussian() calls (including the pending half-pair it consumes on
+  // entry and the one it leaves behind). Draws the uniforms of every whole
+  // pair first, then runs the Box-Muller transforms in one tight loop.
+  void FillGaussian(double* out, size_t n);
 
   // Derives an independent child generator; useful to give each simulated
   // component its own stream without cross-coupling.

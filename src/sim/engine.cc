@@ -121,7 +121,6 @@ struct Engine::RegionState {
   bool IsHot(int64_t idx) const {
     return idx % hot_stride == 0 && idx / hot_stride < hot_count;
   }
-  double Weight(int64_t idx) const { return IsHot(idx) ? w_hot : w_cold; }
   int64_t SliceOf(int64_t idx, int threads) const {
     const int64_t len = std::max<int64_t>(1, pages / threads);
     return std::min<int64_t>(idx / len, threads - 1);
@@ -324,6 +323,12 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
     refresh_seconds_ = m.RegisterHistogram(
         "engine.placement.refresh_seconds", "s",
         "Wall-clock cost of one epoch's placement refresh phase");
+    tlb_invalidate_seconds_ = m.RegisterHistogram(
+        "engine.phase.tlb_invalidate_seconds", "s",
+        "Wall-clock cost of one epoch's P2M TLB invalidation over every domain");
+    allocator_churn_seconds_ = m.RegisterHistogram(
+        "engine.phase.allocator_churn_seconds", "s",
+        "Wall-clock cost of one job's sampled allocator churn in one epoch");
     max_mc_util_gauge_ = m.RegisterGauge(
         "engine.max_mc_util", "utilization",
         "Hottest memory-controller utilization at the last epoch (instantaneous)");
@@ -1145,6 +1150,7 @@ void Engine::RunAllocatorChurn(JobState& job, double dt, double now) {
   if (app.release_rate_per_s <= 0.0 || job.finished) {
     return;
   }
+  XNUMA_TRACE_SCOPE(obs_, "allocator_churn", "engine", allocator_churn_seconds_);
   const double total_rate = app.release_rate_per_s * job.spec.threads;
   const int expected = static_cast<int>(total_rate * dt);
   const int n_ops = std::min(config_.churn_sample_ops, std::max(1, expected));
@@ -1315,9 +1321,10 @@ void Engine::TickCarrefour(double now) {
   }
 }
 
-void Engine::AccumulatePageRates(const JobState& job,
-                                 std::vector<PageAccessSample>* out) const {
+void Engine::AccumulatePageRates(const JobState& job) {
   const int nodes = hv_->topology().num_nodes();
+  const int threads = job.spec.threads;
+  std::vector<double>& rows = scan_rows_;
 
   for (const RegionState& region : job.regions) {
     const double share = region.spec->access_share;
@@ -1327,40 +1334,45 @@ void Engine::AccumulatePageRates(const JobState& job,
     const double aff = region.spec->owner_affinity;
 
     // Uniform component: per source node, the total rate into this region.
-    std::vector<double> uniform_by_node(nodes, 0.0);
+    // Every page weighs w_hot or w_cold, so a page's uniform row is one of
+    // two: rows[0, nodes) for hot pages, rows[nodes, 2 * nodes) for cold ones.
     // Affinity component per slice (attributed to the owner thread's node).
-    std::vector<double> slice_rate(job.spec.threads, 0.0);
-    std::vector<NodeId> slice_node(job.spec.threads, kInvalidNode);
-    for (int t = 0; t < job.spec.threads; ++t) {
+    rows.assign(2 * static_cast<size_t>(nodes), 0.0);
+    scan_slices_.assign(threads, SliceTerm{});
+    for (int t = 0; t < threads; ++t) {
       const ThreadState& th = job.threads[t];
       if (th.done) {
         continue;
       }
-      uniform_by_node[th.node] += th.rate * share * (1.0 - aff);
-      slice_rate[t] = th.rate * share * aff;
-      slice_node[t] = th.node;
+      rows[th.node] += th.rate * share * (1.0 - aff);
+      if (region.slice_total[t] > 0.0) {
+        const double slice_rate = th.rate * share * aff;
+        scan_slices_[t] = {th.node, slice_rate * region.w_hot / region.slice_total[t],
+                           slice_rate * region.w_cold / region.slice_total[t]};
+      }
+    }
+    for (NodeId n = 0; n < nodes; ++n) {
+      const double uniform = rows[n];
+      rows[n] = uniform * region.w_hot / region.total_mass;
+      rows[nodes + n] = uniform * region.w_cold / region.total_mass;
     }
 
+    const uint8_t written = region.spec->write_fraction > 0.0 ? 1 : 0;
     for (int64_t idx = 0; idx < region.pages; ++idx) {
       const PagePlacement& page = region.page_cache[idx];
       if (page.pfn == kInvalidPfn || page.replicated) {
         continue;  // replicated pages are already local everywhere
       }
-      const double w = region.Weight(idx);
-      const int64_t slice = region.SliceOf(idx, job.spec.threads);
-      PageAccessSample sample;
-      sample.domain = job.spec.domain;
-      sample.pfn = page.pfn;
-      sample.rate_by_node.assign(nodes, 0.0);
-      for (NodeId n = 0; n < nodes; ++n) {
-        sample.rate_by_node[n] = uniform_by_node[n] * w / region.total_mass;
+      const bool hot = region.IsHot(idx);
+      const SliceTerm& slice = scan_slices_[region.SliceOf(idx, threads)];
+      scan_pfn_.push_back(page.pfn);
+      scan_written_.push_back(written);
+      const size_t base = scan_rates_.size();
+      const double* row = &rows[hot ? 0 : nodes];
+      scan_rates_.insert(scan_rates_.end(), row, row + nodes);
+      if (slice.node != kInvalidNode) {
+        scan_rates_[base + slice.node] += hot ? slice.hot : slice.cold;
       }
-      if (region.slice_total[slice] > 0.0 && slice_node[slice] != kInvalidNode) {
-        sample.rate_by_node[slice_node[slice]] +=
-            slice_rate[slice] * w / region.slice_total[slice];
-      }
-      sample.written = region.spec->write_fraction > 0.0;
-      out->push_back(std::move(sample));
     }
   }
 }
@@ -1370,30 +1382,56 @@ void Engine::SampleHotPages(DomainId domain, int max_pages,
   // Carrefour samples mid-epoch, after churn/migrations may have moved
   // pages; bring the placement cache up to the live state first.
   DrainPlacementEvents();
-  std::vector<PageAccessSample>& candidates = sample_scratch_;
-  candidates.clear();
+  scan_pfn_.clear();
+  scan_written_.clear();
+  scan_rates_.clear();
   for (const auto& jptr : jobs_) {
     if (jptr->spec.domain == domain && !jptr->finished) {
       RefreshPlacementTables(*jptr);
-      AccumulatePageRates(*jptr, &candidates);
+      AccumulatePageRates(*jptr);
     }
   }
-  // IBS-style sampling noise.
-  for (PageAccessSample& s : candidates) {
-    for (double& r : s.rate_by_node) {
-      r = std::max(0.0, r * (1.0 + config_.sampling_noise * rng_.NextGaussian()));
+  const size_t nodes = static_cast<size_t>(hv_->topology().num_nodes());
+  const size_t count = scan_pfn_.size();
+
+  // IBS-style sampling noise: one draw per (page, node), page-major, in
+  // bounded chunks so the noise buffer stays small (docs/MODEL.md §6).
+  constexpr size_t kNoiseChunk = 1024;
+  scan_noise_.resize(kNoiseChunk);
+  for (size_t begin = 0; begin < scan_rates_.size(); begin += kNoiseChunk) {
+    const size_t len = std::min(kNoiseChunk, scan_rates_.size() - begin);
+    rng_.FillGaussian(scan_noise_.data(), len);
+    double* rates = &scan_rates_[begin];
+    for (size_t i = 0; i < len; ++i) {
+      rates[i] = std::max(0.0, rates[i] * (1.0 + config_.sampling_noise * scan_noise_[i]));
     }
   }
-  const int keep = std::min<int>(max_pages, static_cast<int>(candidates.size()));
-  std::partial_sort(candidates.begin(), candidates.begin() + keep, candidates.end(),
-                    [](const PageAccessSample& a, const PageAccessSample& b) {
-                      return a.TotalRate() > b.TotalRate();
-                    });
-  candidates.resize(keep);
-  for (PageAccessSample& s : candidates) {
-    out->push_back(std::move(s));
+
+  // Noisy totals summed in node order, as PageAccessSample::TotalRate does,
+  // so sorting indices by them reproduces sorting the samples themselves.
+  scan_totals_.resize(count);
+  scan_order_.resize(count);
+  for (size_t p = 0; p < count; ++p) {
+    double total = 0.0;
+    for (size_t n = 0; n < nodes; ++n) {
+      total += scan_rates_[p * nodes + n];
+    }
+    scan_totals_[p] = total;
+    scan_order_[p] = static_cast<uint32_t>(p);
   }
-  candidates.clear();
+  const size_t keep = std::min(static_cast<size_t>(std::max(max_pages, 0)), count);
+  const std::vector<double>& totals = scan_totals_;
+  std::partial_sort(scan_order_.begin(), scan_order_.begin() + keep, scan_order_.end(),
+                    [&totals](uint32_t a, uint32_t b) { return totals[a] > totals[b]; });
+  for (size_t k = 0; k < keep; ++k) {
+    const size_t p = scan_order_[k];
+    PageAccessSample sample;
+    sample.domain = domain;
+    sample.pfn = scan_pfn_[p];
+    sample.rate_by_node.assign(&scan_rates_[p * nodes], &scan_rates_[p * nodes] + nodes);
+    sample.written = scan_written_[p] != 0;
+    out->push_back(std::move(sample));
+  }
 }
 
 void Engine::TickScheduler(double now) {
@@ -1541,8 +1579,11 @@ RunResult Engine::Run() {
     }
     // Epoch boundary: drop every cached P2M run (per-chunk generations keep
     // intra-epoch lookups coherent; this bounds cross-epoch staleness).
-    for (DomainId d = 0; d < hv_->num_domains(); ++d) {
-      hv_->domain(d).p2m().InvalidateTlb();
+    {
+      XNUMA_TRACE_SCOPE(obs_, "tlb_invalidate", "engine", tlb_invalidate_seconds_);
+      for (DomainId d = 0; d < hv_->num_domains(); ++d) {
+        hv_->domain(d).p2m().InvalidateTlb();
+      }
     }
     {
       XNUMA_TRACE_SCOPE(obs_, "placement_refresh", "engine", refresh_seconds_);

@@ -296,9 +296,10 @@ class Engine : public PageAccessSource {
   // totals stay in the CSV, see trace.h).
   void EmitEpochObservability(double now);
   void TickScheduler(double now);
-  // Per-page access rates by source node for sampling; appends candidates.
-  // Reads the per-page placement cache (refresh the job first).
-  void AccumulatePageRates(const JobState& job, std::vector<PageAccessSample>* out) const;
+  // Per-page access rates by source node for sampling; appends the job's
+  // candidate pages to the scan buffers below. Reads the per-page placement
+  // cache (refresh the job first).
+  void AccumulatePageRates(const JobState& job);
 
   Hypervisor* hv_;
   const LatencyModel* latency_;
@@ -379,7 +380,24 @@ class Engine : public PageAccessSource {
   std::map<std::pair<const GuestOs*, int>, int> job_by_guest_pid_;
   std::vector<GuestOs::VpageEvent> vpage_event_scratch_;
   std::vector<Pfn> pfn_event_scratch_;
-  std::vector<PageAccessSample> sample_scratch_;
+  // Hot-page scan buffers, reused across scans: one entry per candidate
+  // page (rates: [page * nodes + node]), then the noisy totals and the index
+  // permutation the top-k selection sorts.
+  std::vector<Pfn> scan_pfn_;
+  std::vector<uint8_t> scan_written_;
+  std::vector<double> scan_rates_;
+  std::vector<double> scan_noise_;
+  std::vector<double> scan_totals_;
+  std::vector<uint32_t> scan_order_;
+  // Per-region scratch: the uniform rate rows of a hot and a cold page, and
+  // each slice's affinity term by page weight (node invalid = no term).
+  struct SliceTerm {
+    NodeId node = kInvalidNode;
+    double hot = 0.0;
+    double cold = 0.0;
+  };
+  std::vector<double> scan_rows_;
+  std::vector<SliceTerm> scan_slices_;
   // XNUMA_VERIFY_PLACEMENT_CACHE=N cross-checks the incremental aggregates
   // against a full rescan every N refreshes of each job (0 = off).
   int verify_cache_period_ = 0;
@@ -396,6 +414,8 @@ class Engine : public PageAccessSource {
   Counter* solver_exit_two_cycle_ = nullptr;
   Counter* solver_exit_cap_ = nullptr;
   Histogram* refresh_seconds_ = nullptr;
+  Histogram* tlb_invalidate_seconds_ = nullptr;
+  Histogram* allocator_churn_seconds_ = nullptr;
   Gauge* max_mc_util_gauge_ = nullptr;
   Gauge* max_link_util_gauge_ = nullptr;
   Gauge* sim_seconds_gauge_ = nullptr;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+
+#include "src/carrefour/system_component.h"
 #include "src/core/experiment.h"
 #include "src/numa/topology.h"
 
@@ -202,6 +206,117 @@ TEST(EngineTest, SamplerReturnsHottestFirst) {
   for (size_t i = 1; i < samples.size(); ++i) {
     EXPECT_GE(samples[i - 1].TotalRate(), samples[i].TotalRate());
   }
+}
+
+// FNV-1a over every field Carrefour consumes from a hot-page scan, in scan
+// order: pfn, current node, written flag and the bit pattern of each rate.
+void DigestHotPages(const std::vector<PageAccessSample>& hot, uint64_t* h) {
+  auto mix = [h](const void* data, size_t len) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < len; ++i) {
+      *h = (*h ^ bytes[i]) * 0x100000001b3ull;
+    }
+  };
+  const uint64_t count = hot.size();
+  mix(&count, sizeof(count));
+  for (const PageAccessSample& s : hot) {
+    mix(&s.pfn, sizeof(s.pfn));
+    mix(&s.current_node, sizeof(s.current_node));
+    const uint8_t written = s.written ? 1 : 0;
+    mix(&written, sizeof(written));
+    for (double r : s.rate_by_node) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &r, sizeof(bits));
+      mix(&bits, sizeof(bits));
+    }
+  }
+}
+
+std::string Hex(uint64_t h) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// Runs `app` on all 48 CPUs for 0.3 simulated seconds (the job stays
+// unfinished, so the sampler still sees it), then digests `scans`
+// consecutive Carrefour hot-page reads of 192 pages. Consecutive reads pin
+// the sampling-noise stream across scan boundaries too.
+struct HotPageScan {
+  std::string digest;
+  size_t pages = 0;                // pages returned by the last read
+  int64_t pages_replicated = 0;    // domain pages replicated during the run
+  bool replicated_sampled = false; // some returned pfn is a replicated page
+};
+
+HotPageScan ScanHotPages(const AppProfile& app, PolicyConfig policy, bool replication,
+                         int scans) {
+  TestMachine m;
+  EngineConfig ec;
+  ec.seed = 7;
+  ec.max_sim_seconds = 0.3;
+  ec.carrefour.enable_replication = replication;
+  m.engine = std::make_unique<Engine>(m.hv, m.latency, ec);
+  const DomainId dom = m.RunApp(app, policy).domain;
+
+  CarrefourSystemComponent system(m.hv, m.engine->counters(), *m.engine);
+  HotPageScan out;
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (int i = 0; i < scans; ++i) {
+    const std::vector<PageAccessSample> hot = system.ReadHotPages(dom, 192);
+    DigestHotPages(hot, &h);
+    out.pages = hot.size();
+    for (const PageAccessSample& s : hot) {
+      out.replicated_sampled |= m.hv.domain(dom).IsReplicated(s.pfn);
+    }
+  }
+  out.digest = Hex(h);
+  out.pages_replicated = m.hv.domain(dom).stats().pages_replicated;
+  return out;
+}
+
+// Golden digests of the IBS emulation: the scan must keep returning the
+// same pages, in the same order, with bitwise-equal rates. An intentional
+// change to the sampling model (docs/MODEL.md §6) regenerates them.
+TEST(EngineTest, HotPageScanGoldenFirstTouchCarrefour) {
+  AppProfile app = MasterSlaveApp(/*shared_affinity=*/0.9);
+  app.nominal_seconds = 30.0;
+  app.regions[0].footprint_mb = 2048;
+  app.regions[1].footprint_mb = 1024;
+  const HotPageScan scan = ScanHotPages(app, {StaticPolicy::kFirstTouch, true},
+                                        /*replication=*/false, /*scans=*/4);
+  EXPECT_EQ(scan.pages, 192u);
+  EXPECT_EQ(scan.digest, "1df14aa9d0af0140");
+}
+
+TEST(EngineTest, HotPageScanGoldenRound4kReplicationSkipsReplicas) {
+  AppProfile app;
+  app.name = "readonly-shared";
+  app.cpu_cycles_per_access = 150;
+  app.mlp = 3;
+  app.nominal_seconds = 30.0;
+  RegionSpec table;
+  table.name = "hot-table";
+  table.footprint_mb = 2048;
+  table.init = AllocPattern::kMasterInit;
+  table.access_share = 0.85;
+  table.write_fraction = 0.0;  // read-only: a replication candidate
+  app.regions.push_back(table);
+  RegionSpec priv;
+  priv.name = "private";
+  priv.footprint_mb = 1024;
+  priv.init = AllocPattern::kOwnerPartitioned;
+  priv.access_share = 0.15;
+  priv.owner_affinity = 0.95;
+  app.regions.push_back(priv);
+  const HotPageScan scan = ScanHotPages(app, {StaticPolicy::kRound4k, true},
+                                        /*replication=*/true, /*scans=*/4);
+  // Not vacuous: Carrefour replicated pages during the run, and the scan
+  // left every one of them out.
+  EXPECT_GT(scan.pages_replicated, 0);
+  EXPECT_FALSE(scan.replicated_sampled);
+  EXPECT_EQ(scan.pages, 192u);
+  EXPECT_EQ(scan.digest, "bddd5d10e79a0fe5");
 }
 
 TEST(EngineTest, ReleaseChurnExercisesPvQueue) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 namespace xnuma {
 namespace {
@@ -77,6 +79,62 @@ TEST(RngTest, GaussianMomentsAreSane) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.03);
   EXPECT_NEAR(sum2 / n, 1.0, 0.05);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// FillGaussian(out, n) must be indistinguishable from n NextGaussian()
+// calls: the same values bit for bit, and the same generator state after
+// (pending half-pair included), whether or not a half-pair was pending on
+// entry.
+TEST(RngTest, FillGaussianMatchesSuccessiveNextGaussian) {
+  for (const bool pending_on_entry : {false, true}) {
+    for (const size_t n : {0, 1, 2, 3, 7, 8, 1023, 1024}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " pending=" << pending_on_entry);
+      Rng serial(31);
+      Rng batched(31);
+      if (pending_on_entry) {
+        serial.NextGaussian();  // leaves the sine half pending
+        batched.NextGaussian();
+      }
+      std::vector<double> want(n);
+      for (double& g : want) {
+        g = serial.NextGaussian();
+      }
+      std::vector<double> got(n, -1.0);
+      batched.FillGaussian(got.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(SameBits(want[i], got[i])) << "i=" << i;
+      }
+      // The state left behind agrees too: a pending half-pair first, then
+      // the raw stream.
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_TRUE(SameBits(serial.NextGaussian(), batched.NextGaussian()));
+      }
+      EXPECT_EQ(serial.NextU64(), batched.NextU64());
+    }
+  }
+}
+
+TEST(RngTest, FillGaussianChunksComposeIntoOneStream) {
+  // Any split of a fill into chunks yields the same stream as one fill.
+  Rng whole(37);
+  Rng chunked(37);
+  std::vector<double> want(41);
+  whole.FillGaussian(want.data(), want.size());
+  std::vector<double> got(41);
+  size_t at = 0;
+  for (const size_t len : {5, 0, 1, 16, 19}) {
+    chunked.FillGaussian(got.data() + at, len);
+    at += len;
+  }
+  ASSERT_EQ(at, got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(SameBits(want[i], got[i])) << "i=" << i;
+  }
+  EXPECT_EQ(whole.NextU64(), chunked.NextU64());
 }
 
 TEST(RngTest, ForkProducesIndependentStream) {
