@@ -5,11 +5,17 @@
 // final fragmentation as JSON for tools/run_bench.sh, which splices the
 // object into BENCH_engine.json and ratchets `churn_solver_p99_us`
 // against tools/bench_ratchet.json (a latency ceiling: it only moves
-// down). Everything but the latencies is deterministic: the placement
-// digest printed here must be stable across runs and machines.
+// down). The process's peak resident set, `peak_rss_mb`, is gated there
+// too (`churn_peak_rss_mb`): destroyed tenants must give their storage
+// back, so the footprint follows the live tenants, not every tenant ever
+// created. Everything but the latencies and the RSS is deterministic: the
+// placement digest printed here must be stable across runs and machines.
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <limits>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/core/experiment.h"
@@ -17,6 +23,22 @@
 namespace {
 
 using namespace xnuma;
+
+// Peak resident set of this process (VmHWM of /proc/self/status), in MiB;
+// 0 where procfs is unavailable.
+double PeakRssMb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmHWM:") {
+      double kib = 0.0;
+      status >> kib;
+      return kib / 1024.0;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0.0;
+}
 
 }  // namespace
 
@@ -57,6 +79,7 @@ int main(int argc, char** argv) {
   std::printf("  \"churn_solver_p50_us\": %.3f,\n", r.solve_p50_us);
   std::printf("  \"churn_solver_p99_us\": %.3f,\n", r.solve_p99_us);
   std::printf("  \"churn_solver_max_us\": %.3f,\n", r.solve_max_us);
+  std::printf("  \"peak_rss_mb\": %.1f,\n", PeakRssMb());
   std::printf("  \"wall_s\": %.3f\n", wall_s);
   std::printf("}\n");
   return 0;

@@ -77,12 +77,16 @@ class Domain {
   bool is_dom0() const { return is_dom0_; }
   void set_is_dom0(bool v) { is_dom0_ = v; }
 
-  // Set once by Hypervisor::DestroyDomain after every machine frame and
-  // pCPU reservation is released. The Domain object stays addressable (ids
-  // are stable handles) but holds no machine resources; churn bookkeeping
-  // and the scheduler skip destroyed domains.
+  // Turns the domain into a tombstone; called once by
+  // Hypervisor::DestroyDomain after every machine frame and pCPU
+  // reservation is released. The tombstone stays addressable (ids are
+  // stable handles) and keeps its id, name, home nodes, policy config and
+  // stats; everything sized by its pages or vCPUs is freed (the P2M's
+  // storage, the vCPU list, the flush-walk stamps, the vNUMA location
+  // table), and its P2M reports every page unmapped. Churn bookkeeping and
+  // the scheduler skip destroyed domains.
   bool destroyed() const { return destroyed_; }
-  void set_destroyed() { destroyed_ = true; }
+  void Retire();
 
   DomainStats& stats() { return stats_; }
   const DomainStats& stats() const { return stats_; }
@@ -145,8 +149,15 @@ class Domain {
   // ---- Flush-walk scratch (hypervisor page-queue hypercall). ----
   // The latest-op-per-page walk (§4.2.4) dedups pfns against a per-page
   // generation stamp instead of building a hash set per flush; comparing to
-  // a bumped generation makes "clear the visited set" free.
-  std::vector<uint32_t>& flush_visited() { return flush_visited_; }
+  // a bumped generation makes "clear the visited set" free. The stamps are
+  // sized on the first flush: a domain that never flushes never pays for
+  // them.
+  std::vector<uint32_t>& flush_visited() {
+    if (flush_visited_.empty()) {
+      flush_visited_.assign(memory_pages(), 0);
+    }
+    return flush_visited_;
+  }
   uint32_t BumpFlushGeneration() {
     if (++flush_gen_ == 0) {  // wrapped: drop every stale stamp once
       flush_visited_.assign(flush_visited_.size(), 0);

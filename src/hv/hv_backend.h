@@ -77,6 +77,12 @@ class HvPlacementBackend : public PlacementBackend {
   // that case and the caller must rescan the whole address space.
   bool DrainDirtyPfns(std::vector<Pfn>* out);
 
+  // Frees the per-page dirty tracker (domain teardown) and degrades it to
+  // overflow: a teardown changes every page, so the next drain asks for a
+  // rescan, and the invalidations of the teardown itself skip the tracker.
+  // Only the teardown's own unmaps may follow.
+  void ReleaseTracking();
+
   // Optional metrics for every placement mutation (hv.backend.*) plus the
   // per-page migrate wall-clock histogram. nullptr detaches.
   void set_observability(Observability* obs);

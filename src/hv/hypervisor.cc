@@ -148,6 +148,9 @@ void Hypervisor::DestroyDomain(DomainId id) {
     return;
   }
   HvPlacementBackend& be = *backends_[id];
+  // Every page is about to change: drop the dirty tracker up front so the
+  // invalidations below skip it.
+  be.ReleaseTracking();
   // Release every machine frame the domain holds, walking placement runs
   // rather than pages so large mapped extents cost one lookup each.
   // Invalidate collapses replicas before unmapping, so replica frames are
@@ -167,14 +170,13 @@ void Hypervisor::DestroyDomain(DomainId id) {
   while (!dom.replicas().empty()) {
     be.CollapseReplicas(dom.replicas().begin()->first);
   }
-  // And drop the per-node P2M replicas with their stamp arrays.
-  dom.p2m().DisableReplication();
   for (const VcpuDesc& vcpu : dom.vcpus()) {
     XNUMA_CHECK(cpu_reservations_[vcpu.pinned_cpu] > 0);
     --cpu_reservations_[vcpu.pinned_cpu];
   }
-  dom.mutable_vcpus().clear();
-  dom.set_destroyed();
+  // Nothing is mapped any more: free the P2M storage (replicas included)
+  // and every other per-page and per-vCPU allocation, keeping a tombstone.
+  dom.Retire();
   if (domains_destroyed_ != nullptr) {
     domains_destroyed_->Increment();
     EmitEvent(obs_, "domain_destroy", "hv");
@@ -320,7 +322,7 @@ DomainId Hypervisor::CreateDomain(const DomainConfig& config) {
 }
 
 HypercallStatus Hypervisor::HypercallSetPolicy(DomainId id, const PolicyConfig& config) {
-  if (id < 0 || id >= num_domains()) {
+  if (!DomainAlive(id)) {
     return HypercallStatus::kBadDomain;
   }
   Domain& dom = domain(id);
@@ -364,7 +366,7 @@ HypercallStatus Hypervisor::HypercallGetVnumaInfo(DomainId id, VnumaInfo* info) 
 }
 
 void Hypervisor::NoteVcpuMoved(DomainId id, VcpuId vcpu, CpuId cpu) {
-  if (id < 0 || id >= num_domains()) {
+  if (!DomainAlive(id)) {
     return;
   }
   Domain& dom = domain(id);
@@ -373,7 +375,7 @@ void Hypervisor::NoteVcpuMoved(DomainId id, VcpuId vcpu, CpuId cpu) {
 }
 
 double Hypervisor::HypercallPageQueueFlush(DomainId id, std::span<const PageQueueOp> ops) {
-  XNUMA_CHECK(id >= 0 && id < num_domains());
+  XNUMA_CHECK(DomainAlive(id));
   XNUMA_TRACE_SCOPE(obs_, "hypercall_queue_flush", "hv");
   Domain& dom = domain(id);
   DomainStats& stats = dom.stats();
@@ -424,7 +426,7 @@ double Hypervisor::HypercallPageQueueFlush(DomainId id, std::span<const PageQueu
 }
 
 NodeId Hypervisor::HandleGuestFault(DomainId id, Pfn pfn, CpuId toucher_cpu) {
-  XNUMA_CHECK(id >= 0 && id < num_domains());
+  XNUMA_CHECK(DomainAlive(id));
   Domain& dom = domain(id);
   ++dom.stats().hv_page_faults;
   if (page_fault_count_ != nullptr) {

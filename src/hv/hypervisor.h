@@ -111,8 +111,15 @@ class Hypervisor {
 
   // Tears a domain down: collapses replicas, invalidates every P2M entry
   // (releasing the machine frames), drops the vCPU pCPU reservations and
-  // marks the domain destroyed. Ids are stable handles, so domain(id)
-  // remains addressable; num_domains() never shrinks. Idempotent.
+  // leaves a tombstone. Ids are stable handles, so domain(id) and
+  // backend(id) remain addressable; num_domains() never shrinks. The
+  // tombstone keeps the id, name, home nodes, policy config and stats and
+  // frees everything sized by the domain's pages or vCPUs (P2M chunks,
+  // superpage arrays, replicas and TLB contexts, the dirty tracker, the
+  // flush stamps, the vNUMA table): its P2M keeps no TLB and one null
+  // slot per 512-page chunk, less than a fresh, never-mapped table. Reads on it report every page unmapped; hypercalls that would
+  // map or touch pages refuse it (kBadDomain, or a check failure on the
+  // guest-only fault and flush paths). Idempotent.
   void DestroyDomain(DomainId id);
   bool DomainAlive(DomainId id) const;
   int num_live_domains() const;

@@ -43,8 +43,7 @@ P2mTable::P2mTable(int64_t num_pages) : reference_(g_reference_mode) {
     }
     packed_chunk_count_ = static_cast<int64_t>(chunks_.size());
   }
-  tlb_.assign(static_cast<size_t>(tlb_contexts_) * kTlbSets, TlbEntry{});
-  vcpu_nodes_.assign(tlb_contexts_, home_node_);
+  ConfigureTlb(1);
 }
 
 void P2mTable::ConfigureOrders(PageOrder max_order, int64_t pages_per_2m,
@@ -296,7 +295,7 @@ void P2mTable::EnableReplication(int num_nodes, int home_node) {
 void P2mTable::DisableReplication() {
   repl_enabled_ = false;
   repl_nodes_ = 0;
-  replicas_.clear();
+  std::vector<std::unique_ptr<Replica>>().swap(replicas_);
   repl_epochs_.reset();
   if (repl_gauge_ != nullptr) {
     repl_gauge_->Set(0.0);
@@ -1398,8 +1397,11 @@ P2mTable::Run P2mTable::ResolveRun(Pfn pfn, int8_t* kind, int64_t* id) const {
 P2mTable::Run P2mTable::LookupRun(Pfn pfn, int32_t vcpu) const {
   CheckRange(pfn, 1);
   const int64_t ci = pfn >> kChunkShift;
-  if (reference_) {
-    return ComputeChunkRun(ci, pfn);  // reference tables bypass the TLB
+  if (tlb_.empty()) {
+    // Reference tables and tombstones have no TLB: resolve directly.
+    int8_t kind = 0;
+    int64_t id = 0;
+    return ResolveRun(pfn, &kind, &id);
   }
   // Callers may pass a pCPU id rather than a vCPU index; fold it onto the
   // configured contexts so co-scheduled lookups still get distinct sets.
@@ -1484,8 +1486,29 @@ P2mTable::Run P2mTable::LookupRun(Pfn pfn, int32_t vcpu) const {
 
 void P2mTable::ConfigureTlb(int num_vcpus) {
   tlb_contexts_ = std::max(1, num_vcpus);
-  tlb_.assign(static_cast<size_t>(tlb_contexts_) * kTlbSets, TlbEntry{});
+  if (!reference_) {  // reference tables bypass the TLB, so they own none
+    tlb_.assign(static_cast<size_t>(tlb_contexts_) * kTlbSets, TlbEntry{});
+  }
   vcpu_nodes_.assign(tlb_contexts_, home_node_);
+}
+
+void P2mTable::ReleaseStorage() {
+  XNUMA_CHECK(valid_count_ == 0);
+  DisableReplication();
+  // With nothing mapped there are no extents and no superpages; a chunk
+  // left behind is empty or, when packed, all zero entries.
+  for (std::unique_ptr<Chunk>& c : chunks_) {
+    c.reset();
+  }
+  packed_chunk_count_ = 0;
+  for (SpLevel& s : sp_) {
+    std::vector<uint64_t>().swap(s.entries);
+  }
+  // No TLB either: lookups on a table without one resolve directly, and
+  // a tombstone's lookups are rare and trivially all-absent.
+  tlb_contexts_ = 1;
+  std::vector<TlbEntry>().swap(tlb_);
+  std::vector<int>().swap(vcpu_nodes_);
 }
 
 void P2mTable::InvalidateTlb() const {

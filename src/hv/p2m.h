@@ -177,11 +177,21 @@ class P2mTable {
 
   int64_t valid_count() const { return valid_count_; }
 
+  // Frees every allocation sized by the table's pages or vCPUs; nothing may
+  // be mapped (domain teardown). Drops the chunk objects — chunks_ keeps
+  // its slots, all null, which every read treats as absent — the superpage
+  // slot arrays, the replicas, the TLB and the vCPU node table. Afterwards
+  // every read reports unmapped, lookups resolve without a TLB (as in
+  // reference mode), and the table is smaller than a freshly constructed
+  // one.
+  void ReleaseStorage();
+
   // ---- Translation cache ----------------------------------------------
 
   // Sizes the TLB for `num_vcpus` contexts (one direct-mapped set of
   // kTlbSets runs each) and drops all cached runs. Called at domain
-  // creation; a freshly constructed table has one context.
+  // creation; a freshly constructed table has one context. Reference-mode
+  // tables, which bypass the TLB, allocate none.
   void ConfigureTlb(int num_vcpus);
 
   // Drops every cached run in every context (O(1): bumps the epoch stamp

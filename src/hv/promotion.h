@@ -38,10 +38,11 @@ class PromotionDaemon {
 
   PromotionDaemon(Hypervisor& hv, const Config& config);
 
-  // One epoch pass: sweeps every order-enabled domain in id order, 2M slots
-  // first, then 1G (so freshly healed 2M entries can feed a 1G promotion in
-  // a later epoch). Per-domain cursors persist across ticks; their start
-  // offsets are seeded so different seeds sweep in different phases.
+  // One epoch pass: sweeps every live order-enabled domain in id order, 2M
+  // slots first, then 1G (so freshly healed 2M entries can feed a 1G
+  // promotion in a later epoch). Per-domain cursors persist across ticks;
+  // their start offsets are seeded so different seeds sweep in different
+  // phases.
   void Tick();
 
   int64_t promotions() const { return promotions_; }

@@ -12,6 +12,8 @@
 #include "src/admission/available_space.h"
 #include "src/admission/churn_runner.h"
 #include "src/hv/hypervisor.h"
+#include "src/hv/p2m.h"
+#include "src/hv/promotion.h"
 #include "src/numa/topology.h"
 #include "src/obs/obs.h"
 #include "src/workload/churn.h"
@@ -30,6 +32,47 @@ ChurnSpec SoakSpec() {
   spec.max_balloon_pages = 32;
   spec.max_migrate_pages = 16;
   return spec;
+}
+
+// What a P2M table holds on the heap, mapping store and TLB together.
+int64_t Footprint(const P2mTable& p2m) { return p2m.MemoryBytes() + p2m.TlbBytes(); }
+
+// A fresh, never-mapped table: one TLB context plus its chunk-pointer array.
+int64_t FreshFootprint(int64_t num_pages) {
+  const P2mTable fresh(num_pages);
+  return Footprint(fresh);
+}
+
+// Walks a destroyed domain's whole address space: every run is unmapped and
+// the runs tile [0, memory_pages).
+void ExpectAllUnmapped(Hypervisor& hv, DomainId id) {
+  HvPlacementBackend& be = hv.backend(id);
+  const int64_t pages = hv.domain(id).memory_pages();
+  for (Pfn p = 0; p < pages;) {
+    const HvPlacementBackend::PlacementRun run = be.NodeOfRange(p);
+    ASSERT_EQ(run.first, p) << "domain " << id;
+    ASSERT_GT(run.count, 0) << "domain " << id;
+    EXPECT_FALSE(run.mapped) << "domain " << id << " pfn " << p;
+    EXPECT_EQ(run.node, kInvalidNode) << "domain " << id << " pfn " << p;
+    p += run.count;
+  }
+}
+
+// FNV-1a over one domain's page->node runs.
+uint64_t PlacementDigest(Hypervisor& hv, DomainId id) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](int64_t v) {
+    h ^= static_cast<uint64_t>(v);
+    h *= 1099511628211ull;
+  };
+  for (Pfn p = 0; p < hv.domain(id).memory_pages();) {
+    const HvPlacementBackend::PlacementRun run = hv.backend(id).NodeOfRange(p);
+    mix(run.first);
+    mix(run.count);
+    mix(run.node);
+    p = run.first + run.count;
+  }
+  return h;
 }
 
 Topology SoakTopo() {
@@ -164,6 +207,150 @@ TEST(ChurnSoakTest, DestroyDomainIsIdempotent) {
   EXPECT_FALSE(hv.DomainAlive(id));
   hv.DestroyDomain(id);  // second teardown is a no-op
   EXPECT_EQ(hv.frames().TotalFreeFrames(), free_after);
+}
+
+// A destroyed domain is a tombstone (docs/MODEL.md §17, invariant 6): it
+// retains no more than a fresh empty table and reports every page unmapped.
+TEST(ChurnSoakTest, DestroyedDomainsRetainConstantStorage) {
+  const Topology topo = SoakTopo();
+  Hypervisor hv(topo);
+  ChurnRunner runner(hv);
+  (void)runner.Run(GenerateChurnTrace(SoakSpec()), DomainConfig{});
+
+  int tombstones = 0;
+  for (DomainId id = 0; id < hv.num_domains(); ++id) {
+    if (hv.DomainAlive(id)) {
+      continue;
+    }
+    ++tombstones;
+    const Domain& dom = hv.domain(id);
+    EXPECT_LE(Footprint(dom.p2m()), FreshFootprint(dom.memory_pages())) << "domain " << id;
+    EXPECT_EQ(dom.p2m().valid_count(), 0) << "domain " << id;
+    EXPECT_TRUE(dom.vcpus().empty()) << "domain " << id;
+    dom.p2m().AuditCounters();
+    // Soak tenants fit in one 512-page chunk, so one run covers them.
+    const HvPlacementBackend::PlacementRun run = hv.backend(id).NodeOfRange(0);
+    EXPECT_EQ(run.first, 0) << "domain " << id;
+    EXPECT_EQ(run.count, dom.memory_pages()) << "domain " << id;
+    EXPECT_FALSE(run.mapped) << "domain " << id;
+    EXPECT_EQ(run.node, kInvalidNode) << "domain " << id;
+  }
+  EXPECT_GT(tombstones, 1000);
+}
+
+// Per-epoch upkeep — a promotion tick and a TLB flush of every table —
+// over a machine full of tombstones leaves the live placement untouched.
+TEST(ChurnSoakTest, EpochUpkeepOverTombstonesKeepsLivePlacement) {
+  const Topology topo = SoakTopo();
+  Hypervisor hv(topo);
+  ChurnRunner runner(hv);
+  const DomainConfig tmpl;
+  (void)runner.Run(GenerateChurnTrace(SoakSpec()), tmpl);
+  ASSERT_LT(hv.num_live_domains(), hv.num_domains());
+  const uint64_t before = runner.Run({}, tmpl).placement_digest;
+
+  PromotionDaemon daemon(hv, PromotionDaemon::Config{});
+  daemon.Tick();
+  for (DomainId id = 0; id < hv.num_domains(); ++id) {
+    hv.domain(id).p2m().InvalidateTlb();
+  }
+  EXPECT_EQ(runner.Run({}, tmpl).placement_digest, before);
+  for (DomainId id = 0; id < hv.num_domains(); ++id) {
+    if (!hv.DomainAlive(id)) {
+      ExpectAllUnmapped(hv, id);
+    }
+  }
+}
+
+// Tombstones of every shape: superpage-mapped, packed and vNUMA-tracked
+// with PV-queue flushes, replicated. Each shrinks to no more than a fresh
+// table, reads all-unmapped across every chunk, keeps its identity and
+// stats, and refuses a policy switch that would map it again.
+TEST(ChurnSoakTest, TombstonesOfEveryShapeAreEmptyAndSmall) {
+  const Topology topo = Topology::Amd48();
+  Hypervisor hv(topo);
+
+  DomainConfig huge;
+  huge.name = "huge";
+  huge.num_vcpus = 12;
+  huge.memory_pages = 2048;
+  huge.policy.placement = StaticPolicy::kRound1g;
+  huge.p2m_max_order = PageOrder::k1G;
+  const DomainId huge_id = hv.CreateDomain(huge);
+  ASSERT_GT(hv.domain(huge_id).p2m().SuperpageCount(PageOrder::k1G), 0);
+
+  DomainConfig shredded;
+  shredded.name = "shredded";
+  shredded.num_vcpus = 2;
+  shredded.memory_pages = 1024;
+  shredded.pinned_cpus = {0, 6};  // nodes 0 and 1
+  shredded.policy.placement = StaticPolicy::kFirstTouch;
+  shredded.vnuma = true;
+  const DomainId shred_id = hv.CreateDomain(shredded);
+  for (Pfn p = 0; p < P2mTable::kChunkPages; ++p) {
+    ASSERT_TRUE(hv.backend(shred_id).MapOnNode(p, static_cast<NodeId>(p % 2)));
+  }
+  ASSERT_GT(hv.domain(shred_id).p2m().packed_chunk_count(), 0);
+  ASSERT_EQ(hv.HandleGuestFault(shred_id, 700, 6), 1);
+  const PageQueueOp ops[] = {{PageQueueOp::Kind::kRelease, 3},
+                             {PageQueueOp::Kind::kRelease, 700}};
+  hv.HypercallPageQueueFlush(shred_id, ops);
+  VnumaInfo info;
+  ASSERT_EQ(hv.HypercallGetVnumaInfo(shred_id, &info), HypercallStatus::kOk);
+
+  DomainConfig replicated;
+  replicated.name = "replicated";
+  replicated.num_vcpus = 12;
+  replicated.memory_pages = 1536;
+  for (CpuId c = 0; c < 12; ++c) {
+    replicated.pinned_cpus.push_back(c);  // nodes 0 and 1
+  }
+  replicated.p2m_replication = true;
+  const DomainId repl_id = hv.CreateDomain(replicated);
+  hv.domain(repl_id).p2m().FillReplica(1);
+  ASSERT_GT(hv.domain(repl_id).p2m().replica_count(), 0);
+
+  DomainConfig survivor;
+  survivor.name = "survivor";
+  survivor.num_vcpus = 4;
+  survivor.memory_pages = 1024;
+  survivor.policy.placement = StaticPolicy::kRound1g;
+  survivor.p2m_max_order = PageOrder::k1G;
+  const DomainId live_id = hv.CreateDomain(survivor);
+  const uint64_t survivor_before = PlacementDigest(hv, live_id);
+  const int64_t free_before = hv.frames().TotalFreeFrames();
+
+  const int64_t shred_faults = hv.domain(shred_id).stats().hv_page_faults;
+  for (const DomainId id : {huge_id, shred_id, repl_id}) {
+    const std::vector<NodeId> homes = hv.domain(id).home_nodes();
+    const PolicyConfig policy = hv.domain(id).policy_config();
+    hv.DestroyDomain(id);
+    const Domain& dom = hv.domain(id);
+    EXPECT_LE(Footprint(dom.p2m()), FreshFootprint(dom.memory_pages())) << dom.name();
+    EXPECT_EQ(dom.p2m().packed_chunk_count(), 0) << dom.name();
+    EXPECT_EQ(dom.p2m().replica_count(), 0) << dom.name();
+    dom.p2m().AuditCounters();
+    ExpectAllUnmapped(hv, id);
+    EXPECT_EQ(dom.home_nodes(), homes) << dom.name();
+    EXPECT_EQ(dom.policy_config(), policy) << dom.name();
+    PolicyConfig round4k;
+    round4k.placement = StaticPolicy::kRound4k;
+    EXPECT_EQ(hv.HypercallSetPolicy(id, round4k), HypercallStatus::kBadDomain);
+    ExpectAllUnmapped(hv, id);
+  }
+  EXPECT_EQ(hv.domain(huge_id).name(), "huge");
+  EXPECT_EQ(hv.domain(shred_id).stats().hv_page_faults, shred_faults);
+  EXPECT_EQ(hv.frames().TotalFreeFrames(),
+            free_before + huge.memory_pages + (P2mTable::kChunkPages - 1) +
+                replicated.memory_pages);  // the flush released 2 of 513
+
+  PromotionDaemon daemon(hv, PromotionDaemon::Config{});
+  daemon.Tick();
+  for (DomainId id = 0; id < hv.num_domains(); ++id) {
+    hv.domain(id).p2m().InvalidateTlb();
+  }
+  EXPECT_EQ(hv.num_live_domains(), 1);
+  EXPECT_EQ(PlacementDigest(hv, live_id), survivor_before);
 }
 
 TEST(ChurnSoakTest, FragmentationMatchesHandComputedFixture) {

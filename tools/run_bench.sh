@@ -213,6 +213,30 @@ END {
 }
 ' "$ROOT/tools/bench_ratchet.json" "$ROOT/BENCH_engine.json"
 
+# Footprint under churn (docs/MODEL.md §17, invariant 6): a destroyed
+# domain keeps only a tombstone, so the 20k-event AMD48 soak's peak
+# resident set follows the live tenants, not every tenant ever created. A
+# ceiling: `churn_peak_rss_mb` in tools/bench_ratchet.json is the measured
+# VmHWM plus a stated margin for libc and allocator differences between
+# hosts; a teardown that stops releasing per-page storage blows it several
+# times over.
+awk -F': ' '
+FNR == NR {
+  if ($1 ~ /"churn_peak_rss_mb"/) { gsub(/[,} ]/, "", $2); ceiling = $2 + 0 }
+  next
+}
+/"peak_rss_mb"/ { gsub(/[,}]/, "", $2); rss = $2 + 0; found = 1 }
+END {
+  if (!found)   { print "FAIL: peak_rss_mb missing from the churn bench output"; exit 1 }
+  if (!ceiling) { print "FAIL: churn_peak_rss_mb missing from tools/bench_ratchet.json"; exit 1 }
+  if (rss > ceiling) {
+    printf "FAIL: churn soak peak RSS %.1f MB exceeds ceiling %.1f MB\n", rss, ceiling
+    exit 1
+  }
+  printf "OK: churn soak peak RSS %.1f MB (ceiling %.1f MB)\n", rss, ceiling
+}
+' "$ROOT/tools/bench_ratchet.json" "$ROOT/BENCH_engine.json"
+
 # Parallel experiment matrix (threads) and dispatch matrix (processes):
 # results at --jobs 4 / --procs 4 must be bit-identical to the serial loop
 # (always), and each must be >= 2x its own single-worker baseline on hosts
