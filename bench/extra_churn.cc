@@ -8,17 +8,30 @@
 // down). The process's peak resident set, `peak_rss_mb`, is gated there
 // too (`churn_peak_rss_mb`): destroyed tenants must give their storage
 // back, so the footprint follows the live tenants, not every tenant ever
-// created. Everything but the latencies and the RSS is deterministic: the
-// placement digest printed here must be stable across runs and machines.
+// created. `heap_in_use_mb` is the allocator's in-use heap with the churned
+// machine still alive, and `end_of_run_us` the median cost of an empty
+// ChurnRunner::Run on it: the fragmentation gauge and placement digest
+// every Run call ends with. Everything but the latencies, the RSS and the
+// heap is deterministic: the placement digest printed here must be stable
+// across runs and machines.
 
+#if __has_include(<malloc.h>)
+#include <malloc.h>
+#endif
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/experiment.h"
+#include "src/admission/churn_runner.h"
+#include "src/hv/hypervisor.h"
+#include "src/numa/topology.h"
+#include "src/workload/churn.h"
 
 namespace {
 
@@ -40,31 +53,62 @@ double PeakRssMb() {
   return 0.0;
 }
 
+// Heap bytes the allocator has handed out and not had back, in MiB; 0
+// where glibc's mallinfo2 (2.33 and later) is unavailable.
+double HeapInUseMb() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd) / (1024.0 * 1024.0);
+#else
+  return 0.0;
+#endif
+}
+
+// Median host time of `reps` empty Run calls, in microseconds.
+double EndOfRunUs(ChurnRunner& runner, int reps) {
+  std::vector<double> us;
+  us.reserve(reps);
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)runner.Run({}, DomainConfig{});
+    us.push_back(std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::nth_element(us.begin(), us.begin() + reps / 2, us.end());
+  return us[reps / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   InitBench(argc, argv);
 
-  ChurnScenarioConfig config;
-  config.amd48 = true;
-  config.spec.seed = 4817;
-  config.spec.num_events = 20000;
-  config.spec.target_live_domains = 40;
-  config.spec.min_pages = 8;
-  config.spec.max_pages = 4096;  // up to 16 GiB at the 4 MiB frame scale
-  config.spec.max_vcpus = 12;
-  config.spec.huge_page_fraction = 0.3;
+  ChurnSpec spec;
+  spec.seed = 4817;
+  spec.num_events = 20000;
+  spec.target_live_domains = 40;
+  spec.min_pages = 8;
+  spec.max_pages = 4096;  // up to 16 GiB at the 4 MiB frame scale
+  spec.max_vcpus = 12;
+  spec.huge_page_fraction = 0.3;
 
+  const Topology topo = Topology::Amd48();
+  Hypervisor hv(topo);
+  ChurnRunner runner(hv);
   const auto t0 = std::chrono::steady_clock::now();
-  const ChurnReport r = RunChurnScenario(config);
+  const ChurnReport r = runner.Run(GenerateChurnTrace(spec), DomainConfig{});
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const double end_of_run_us = EndOfRunUs(runner, 1001);
+  const double heap_mb = HeapInUseMb();
+  const int tombstones = hv.num_domains() - hv.num_live_domains();
 
   std::printf("{\n");
   std::printf("  \"bench\": \"extra_churn\",\n");
   std::printf("  \"machine\": \"amd48\",\n");
   std::printf("  \"seed\": %llu,\n",
-              static_cast<unsigned long long>(config.spec.seed));
+              static_cast<unsigned long long>(spec.seed));
   std::printf("  \"events\": %lld,\n", static_cast<long long>(r.events));
   std::printf("  \"arrivals\": %lld,\n", static_cast<long long>(r.arrivals));
   std::printf("  \"admitted\": %lld,\n", static_cast<long long>(r.admitted));
@@ -79,6 +123,9 @@ int main(int argc, char** argv) {
   std::printf("  \"churn_solver_p50_us\": %.3f,\n", r.solve_p50_us);
   std::printf("  \"churn_solver_p99_us\": %.3f,\n", r.solve_p99_us);
   std::printf("  \"churn_solver_max_us\": %.3f,\n", r.solve_max_us);
+  std::printf("  \"end_of_run_us\": %.3f,\n", end_of_run_us);
+  std::printf("  \"tombstones\": %d,\n", tombstones);
+  std::printf("  \"heap_in_use_mb\": %.2f,\n", heap_mb);
   std::printf("  \"peak_rss_mb\": %.1f,\n", PeakRssMb());
   std::printf("  \"wall_s\": %.3f\n", wall_s);
   std::printf("}\n");

@@ -6,34 +6,8 @@
 
 namespace xnuma {
 
-int64_t AlignedBlocksInExtent(Mfn first, int64_t count, int64_t span) {
-  XNUMA_CHECK(span > 0);
-  if (span == 1) {
-    return count;
-  }
-  const Mfn aligned_first = ((first + span - 1) / span) * span;
-  const Mfn end = first + count;
-  if (aligned_first >= end) {
-    return 0;
-  }
-  return (end - aligned_first) / span;
-}
-
 NodeSpace ComputeNodeSpace(const FrameAllocator& frames, NodeId node) {
-  NodeSpace space;
-  space.node = node;
-  const int64_t span_2m = frames.FramesPerOrder(PageOrder::k2M);
-  const int64_t span_1g = frames.FramesPerOrder(PageOrder::k1G);
-  FrameAllocator::FreeExtentCursor cursor = frames.FreeExtents(node);
-  FreeExtent extent;
-  while (cursor.Next(&extent)) {
-    ++space.free_extents;
-    space.free_frames += extent.count;
-    space.largest_extent = std::max(space.largest_extent, extent.count);
-    space.blocks_2m += AlignedBlocksInExtent(extent.first, extent.count, span_2m);
-    space.blocks_1g += AlignedBlocksInExtent(extent.first, extent.count, span_1g);
-  }
-  return space;
+  return frames.Space(node);
 }
 
 NodeSpace RecountNodeSpace(const FrameAllocator& frames, NodeId node) {

@@ -4,8 +4,11 @@
 // blocks survive, how large the largest run is, how shattered the rest.
 //
 // Two implementations of the same quantity, on purpose:
-//  * ComputeNodeSpace walks the allocator's free-extent cursor — O(bitmap
-//    words), the production path the admission solver uses.
+//  * ComputeNodeSpace returns the allocator's memoized summary
+//    (FrameAllocator::Space): one pass over the node's free-extent cursor,
+//    O(bitmap words), rerun only when an allocation, free or hole changed
+//    that node since the last call. The production path: the admission
+//    solver and the fragmentation gauge share the one memo per allocator.
 //  * RecountNodeSpace probes every frame through IsAllocated — O(frames),
 //    an independent brute-force recount the property tests (and the
 //    brute-force reference solver) compare against.
@@ -22,26 +25,8 @@
 
 namespace xnuma {
 
-// Exact per-node availability summary derived from free-extent state.
-struct NodeSpace {
-  NodeId node = kInvalidNode;
-  int64_t free_frames = 0;     // exact capacity for order-4K allocation
-  int64_t free_extents = 0;    // number of maximal free runs
-  int64_t largest_extent = 0;  // frames in the largest free run
-  // Naturally-aligned whole blocks available at the machine's 2M/1G frame
-  // spans (FrameAllocator::FramesPerOrder). A span that collapses onto one
-  // frame degenerates to free_frames. This is the Gudkov available-space
-  // number: what a huge-page P2M MapRange could actually take.
-  int64_t blocks_2m = 0;
-  int64_t blocks_1g = 0;
-};
-
-// Aligned order-blocks fully contained in the free extent [first,
-// first+count): alignment is absolute (machine frame 0), matching what
-// AllocContiguous at an aligned span could satisfy back-to-back.
-int64_t AlignedBlocksInExtent(Mfn first, int64_t count, int64_t span);
-
-// Fast path: one pass over the node's free-extent cursor.
+// Fast path: the allocator's per-node memo (NodeSpace and
+// AlignedBlocksInExtent are defined with it, in frame_allocator.h).
 NodeSpace ComputeNodeSpace(const FrameAllocator& frames, NodeId node);
 
 // Brute force: per-frame IsAllocated probes, independent of the extent

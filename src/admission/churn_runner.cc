@@ -1,6 +1,8 @@
 #include "src/admission/churn_runner.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <string>
 
 #include "src/admission/available_space.h"
@@ -10,13 +12,17 @@ namespace xnuma {
 
 namespace {
 
-// FNV-1a 64, mixed byte-by-byte so the digest depends on full values.
-void Mix(uint64_t* h, uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    *h ^= (v >> (8 * b)) & 0xff;
-    *h *= 1099511628211ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+// kFnvPrimePowers[k] = kFnvPrime^k mod 2^64.
+constexpr std::array<uint64_t, 9> kFnvPrimePowers = [] {
+  std::array<uint64_t, 9> powers{};
+  powers[0] = 1;
+  for (size_t k = 1; k < powers.size(); ++k) {
+    powers[k] = powers[k - 1] * kFnvPrime;
   }
-}
+  return powers;
+}();
 
 double NearestRank(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) {
@@ -29,6 +35,18 @@ double NearestRank(const std::vector<double>& sorted, double p) {
 }
 
 }  // namespace
+
+void MixFnv1a(uint64_t* h, uint64_t v) {
+  // A zero byte's xor is a no-op, so the high zero bytes of `v` are only
+  // multiplies by the prime: fold them into one multiply by its power.
+  const int bytes = (std::bit_width(v) + 7) / 8;
+  uint64_t x = *h;
+  for (int b = 0; b < bytes; ++b) {
+    x ^= (v >> (8 * b)) & 0xff;
+    x *= kFnvPrime;
+  }
+  *h = x * kFnvPrimePowers[8 - bytes];
+}
 
 ChurnRunner::ChurnRunner(Hypervisor& hv) : hv_(&hv) {
   Observability* obs = hv.observability();
@@ -223,31 +241,34 @@ ChurnReport ChurnRunner::Run(const std::vector<ChurnEvent>& trace,
   report.final_live_domains = static_cast<int>(live_.size());
   report.final_fragmentation = MachineFragmentation(hv_->frames());
 
-  std::vector<double> sorted(solve_us_.begin() + first_sample, solve_us_.end());
-  std::sort(sorted.begin(), sorted.end());
-  report.solve_p50_us = NearestRank(sorted, 50.0);
-  report.solve_p99_us = NearestRank(sorted, 99.0);
-  report.solve_max_us = sorted.empty() ? 0.0 : sorted.back();
+  if (solve_us_.size() > first_sample) {
+    std::vector<double>& sorted = sorted_scratch_;
+    sorted.assign(solve_us_.begin() + first_sample, solve_us_.end());
+    std::sort(sorted.begin(), sorted.end());
+    report.solve_p50_us = NearestRank(sorted, 50.0);
+    report.solve_p99_us = NearestRank(sorted, 99.0);
+    report.solve_max_us = sorted.back();
+  }
 
   // Digest: admission outcomes + the full final placement of every live
   // domain, walked extent-wise. No wall-clock contribution by design.
   uint64_t digest = 1469598103934665603ull;
-  Mix(&digest, static_cast<uint64_t>(report.admitted));
-  Mix(&digest, static_cast<uint64_t>(report.deferred));
-  Mix(&digest, static_cast<uint64_t>(report.rejected));
-  Mix(&digest, static_cast<uint64_t>(report.departures));
+  MixFnv1a(&digest, static_cast<uint64_t>(report.admitted));
+  MixFnv1a(&digest, static_cast<uint64_t>(report.deferred));
+  MixFnv1a(&digest, static_cast<uint64_t>(report.rejected));
+  MixFnv1a(&digest, static_cast<uint64_t>(report.departures));
   for (const DomainId id : live_) {
-    Mix(&digest, static_cast<uint64_t>(id));
+    MixFnv1a(&digest, static_cast<uint64_t>(id));
     const Domain& dom = hv_->domain(id);
     for (const NodeId home : dom.home_nodes()) {
-      Mix(&digest, static_cast<uint64_t>(home));
+      MixFnv1a(&digest, static_cast<uint64_t>(home));
     }
     HvPlacementBackend& be = hv_->backend(id);
     for (Pfn pfn = 0; pfn < dom.memory_pages();) {
       const HvPlacementBackend::PlacementRun run = be.NodeOfRange(pfn);
-      Mix(&digest, static_cast<uint64_t>(run.first));
-      Mix(&digest, static_cast<uint64_t>(run.count));
-      Mix(&digest, static_cast<uint64_t>(run.mapped ? run.node : kInvalidNode));
+      MixFnv1a(&digest, static_cast<uint64_t>(run.first));
+      MixFnv1a(&digest, static_cast<uint64_t>(run.count));
+      MixFnv1a(&digest, static_cast<uint64_t>(run.mapped ? run.node : kInvalidNode));
       pfn = run.first + run.count;
     }
   }

@@ -44,6 +44,10 @@ struct ChurnReport {
   uint64_t placement_digest = 0;
 };
 
+// One FNV-1a 64 step over the eight bytes of `v`, low byte first: the
+// placement digest's mixer, so the digest depends on full values.
+void MixFnv1a(uint64_t* h, uint64_t v);
+
 class ChurnRunner {
  public:
   // Registers the churn.* metrics if `hv` has observability attached.
@@ -66,6 +70,7 @@ class ChurnRunner {
   Hypervisor* hv_;
   std::vector<DomainId> live_;
   std::vector<double> solve_us_;
+  std::vector<double> sorted_scratch_;  // this run's samples, sorted
   int64_t created_ = 0;  // names churn domains uniquely across Run calls
 
   Counter* churn_events_ = nullptr;

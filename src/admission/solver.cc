@@ -103,16 +103,19 @@ AdmissionResult AdmissionSolver::Solve(const AdmissionRequest& request,
     return result;
   }
 
-  // One pass over the allocator's extent state covers every candidate —
-  // the Gudkov efficiency argument: per-subset evaluation is O(k) sums
-  // over these summaries, never a frame scan.
-  std::vector<NodeSpace> spaces(n);
+  // One memoized summary per node covers every candidate — the Gudkov
+  // efficiency argument: per-subset evaluation is O(k) sums over these
+  // summaries, never a frame scan, and only nodes that changed since the
+  // last request are rescanned.
+  std::vector<NodeSpace>& spaces = spaces_;
+  spaces.resize(n);
   for (NodeId node = 0; node < n; ++node) {
     spaces[node] = ComputeNodeSpace(*frames_, node);
   }
 
   const bool beam = n > config_.max_nodes_exhaustive;
-  std::vector<NodeId> by_load(n);
+  std::vector<NodeId>& by_load = by_load_;
+  by_load.resize(n);
   std::iota(by_load.begin(), by_load.end(), 0);
   if (beam) {
     // Legacy load order: most free pCPUs, then most free frames, then id.
@@ -130,17 +133,17 @@ AdmissionResult AdmissionSolver::Solve(const AdmissionRequest& request,
   bool found = false;
   std::vector<NodeId> best_nodes;
   PlacementScore best_score;
-  std::vector<NodeId> candidate;
+  std::vector<NodeId>& candidate = candidate_;
+  std::vector<NodeId>& pool = pool_;
   for (int k = 1; k <= n && !found; ++k) {
     // Candidate pool: every node when exhaustive; the (k + beam_window)
     // least loaded when bounding latency on very wide machines.
-    std::vector<NodeId> pool;
     if (beam) {
       pool.assign(by_load.begin(),
                   by_load.begin() + std::min<int>(n, k + config_.beam_window));
       std::sort(pool.begin(), pool.end());
     } else {
-      pool = by_load;
+      pool.assign(by_load.begin(), by_load.end());
     }
     const int p = static_cast<int>(pool.size());
     for (uint32_t mask = 1; mask < (uint32_t{1} << p); ++mask) {

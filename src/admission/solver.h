@@ -111,6 +111,13 @@ class AdmissionSolver {
   const Topology* topo_;
   const FrameAllocator* frames_;
   Config config_;
+  // Per-request scratch, reused so a Solve allocates nothing but its
+  // result. Written by the const Solve: one solver serves one machine's
+  // thread, like the allocator it reads.
+  mutable std::vector<NodeSpace> spaces_;
+  mutable std::vector<NodeId> by_load_;
+  mutable std::vector<NodeId> pool_;
+  mutable std::vector<NodeId> candidate_;
 };
 
 }  // namespace xnuma

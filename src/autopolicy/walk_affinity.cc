@@ -18,8 +18,11 @@ int WalkAffinityOrchestrator::Tick(DomainId domain) {
   if (state.windows_since_move <= config_.dwell_windows) {
     return 0;
   }
+  if (!hv_->DomainAlive(domain)) {
+    return 0;
+  }
   Domain& dom = hv_->domain(domain);
-  if (dom.destroyed() || dom.vcpus().empty()) {
+  if (dom.vcpus().empty()) {
     return 0;
   }
   const Topology& topo = hv_->topology();

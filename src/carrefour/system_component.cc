@@ -39,8 +39,11 @@ bool CarrefourSystemComponent::ReplicatePage(DomainId domain, Pfn pfn) {
 }
 
 int CarrefourSystemComponent::ReplicateTranslation(DomainId domain) {
+  if (!hv_->DomainAlive(domain)) {
+    return 0;
+  }
   Domain& dom = hv_->domain(domain);
-  if (dom.destroyed() || !dom.p2m().replication_enabled()) {
+  if (!dom.p2m().replication_enabled()) {
     return 0;
   }
   const Topology& topo = hv_->topology();

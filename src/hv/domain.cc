@@ -5,17 +5,6 @@ namespace xnuma {
 Domain::Domain(DomainId id, std::string name, int64_t memory_pages)
     : id_(id), name_(std::move(name)), p2m_(memory_pages) {}
 
-void Domain::Retire() {
-  destroyed_ = true;
-  p2m_.ReleaseStorage();
-  // Swapping with empty containers frees their capacity; clear() would not.
-  std::vector<VcpuDesc>().swap(vcpus_);
-  std::vector<uint32_t>().swap(flush_visited_);
-  flush_gen_ = 0;
-  std::unordered_map<Pfn, std::vector<Mfn>>().swap(replicas_);
-  vnuma_vcpu_cpu_.reset();
-}
-
 void Domain::ConfigureVnuma(bool enabled) {
   vnuma_enabled_ = enabled;
   if (!enabled) {

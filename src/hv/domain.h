@@ -77,17 +77,6 @@ class Domain {
   bool is_dom0() const { return is_dom0_; }
   void set_is_dom0(bool v) { is_dom0_ = v; }
 
-  // Turns the domain into a tombstone; called once by
-  // Hypervisor::DestroyDomain after every machine frame and pCPU
-  // reservation is released. The tombstone stays addressable (ids are
-  // stable handles) and keeps its id, name, home nodes, policy config and
-  // stats; everything sized by its pages or vCPUs is freed (the P2M's
-  // storage, the vCPU list, the flush-walk stamps, the vNUMA location
-  // table), and its P2M reports every page unmapped. Churn bookkeeping and
-  // the scheduler skip destroyed domains.
-  bool destroyed() const { return destroyed_; }
-  void Retire();
-
   DomainStats& stats() { return stats_; }
   const DomainStats& stats() const { return stats_; }
 
@@ -177,7 +166,6 @@ class Domain {
   std::unique_ptr<NumaPolicy> policy_;
   bool pci_passthrough_ = false;
   bool is_dom0_ = false;
-  bool destroyed_ = false;
   DomainStats stats_;
   std::unordered_map<Pfn, std::vector<Mfn>> replicas_;
   std::vector<uint32_t> flush_visited_;

@@ -85,11 +85,7 @@ bool HvPlacementBackend::DrainDirtyPfns(std::vector<Pfn>* out) {
   return complete;
 }
 
-void HvPlacementBackend::ReleaseTracking() {
-  MarkAllDirty();
-  std::vector<Pfn>().swap(dirty_pfns_);
-  std::vector<uint8_t>().swap(dirty_flag_);
-}
+void HvPlacementBackend::StopTracking() { MarkAllDirty(); }
 
 int64_t HvPlacementBackend::num_pages() const { return domain_->memory_pages(); }
 

@@ -77,11 +77,10 @@ class HvPlacementBackend : public PlacementBackend {
   // that case and the caller must rescan the whole address space.
   bool DrainDirtyPfns(std::vector<Pfn>* out);
 
-  // Frees the per-page dirty tracker (domain teardown) and degrades it to
-  // overflow: a teardown changes every page, so the next drain asks for a
-  // rescan, and the invalidations of the teardown itself skip the tracker.
-  // Only the teardown's own unmaps may follow.
-  void ReleaseTracking();
+  // Domain teardown: degrades the dirty tracker to overflow, so the
+  // teardown's own unmaps, the only calls that may follow before the
+  // backend is deleted, skip it.
+  void StopTracking();
 
   // Optional metrics for every placement mutation (hv.backend.*) plus the
   // per-page migrate wall-clock histogram. nullptr detaches.

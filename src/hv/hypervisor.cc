@@ -21,11 +21,11 @@ Hypervisor::Hypervisor(const Topology& topo, int64_t bytes_per_frame)
 void Hypervisor::set_observability(Observability* obs) {
   obs_ = obs;
   faults_.set_observability(obs);
-  for (auto& be : backends_) {
-    be->set_observability(obs);
-  }
-  for (auto& dom : domains_) {
-    dom->p2m().set_observability(obs);
+  for (DomainSlot& slot : slots_) {
+    if (slot.domain != nullptr) {
+      slot.backend->set_observability(obs);
+      slot.domain->p2m().set_observability(obs);
+    }
   }
   if (obs_ == nullptr) {
     set_policy_calls_ = queue_flush_calls_ = page_fault_count_ = nullptr;
@@ -68,19 +68,37 @@ void Hypervisor::set_observability(Observability* obs) {
       "Wall-clock placement-solver latency per admission request");
 }
 
+int64_t DomainTombstone::MemoryBytes() const {
+  int64_t bytes = static_cast<int64_t>(sizeof(*this));
+  if (name.capacity() > std::string().capacity()) {
+    bytes += static_cast<int64_t>(name.capacity()) + 1;  // outgrew the inline buffer
+  }
+  bytes += static_cast<int64_t>(home_nodes.capacity() * sizeof(NodeId));
+  return bytes;
+}
+
 Domain& Hypervisor::domain(DomainId id) {
-  XNUMA_CHECK(id >= 0 && id < num_domains());
-  return *domains_[id];
+  XNUMA_CHECK(DomainAlive(id));
+  return *slots_[id].domain;
 }
 
 const Domain& Hypervisor::domain(DomainId id) const {
-  XNUMA_CHECK(id >= 0 && id < num_domains());
-  return *domains_[id];
+  XNUMA_CHECK(DomainAlive(id));
+  return *slots_[id].domain;
 }
 
 HvPlacementBackend& Hypervisor::backend(DomainId id) {
-  XNUMA_CHECK(id >= 0 && id < num_domains());
-  return *backends_[id];
+  XNUMA_CHECK(DomainAlive(id));
+  return *slots_[id].backend;
+}
+
+const DomainTombstone& Hypervisor::tombstone(DomainId id) const {
+  XNUMA_CHECK(id >= 0 && id < num_domains() && slots_[id].tombstone != nullptr);
+  return *slots_[id].tombstone;
+}
+
+int64_t Hypervisor::TombstoneBytes(DomainId id) const {
+  return static_cast<int64_t>(sizeof(DomainSlot)) + tombstone(id).MemoryBytes();
 }
 
 std::vector<int> Hypervisor::FreeCpusPerNode() const {
@@ -143,14 +161,15 @@ const Hypervisor::AdmissionVerdict& Hypervisor::AdmitDomain(const AdmissionReque
 
 void Hypervisor::DestroyDomain(DomainId id) {
   XNUMA_CHECK(id >= 0 && id < num_domains());
-  Domain& dom = *domains_[id];
-  if (dom.destroyed()) {
+  DomainSlot& slot = slots_[id];
+  if (slot.domain == nullptr) {
     return;
   }
-  HvPlacementBackend& be = *backends_[id];
-  // Every page is about to change: drop the dirty tracker up front so the
+  Domain& dom = *slot.domain;
+  HvPlacementBackend& be = *slot.backend;
+  // Every page is about to change: stop the dirty tracker up front so the
   // invalidations below skip it.
-  be.ReleaseTracking();
+  be.StopTracking();
   // Release every machine frame the domain holds, walking placement runs
   // rather than pages so large mapped extents cost one lookup each.
   // Invalidate collapses replicas before unmapping, so replica frames are
@@ -174,9 +193,17 @@ void Hypervisor::DestroyDomain(DomainId id) {
     XNUMA_CHECK(cpu_reservations_[vcpu.pinned_cpu] > 0);
     --cpu_reservations_[vcpu.pinned_cpu];
   }
-  // Nothing is mapped any more: free the P2M storage (replicas included)
-  // and every other per-page and per-vCPU allocation, keeping a tombstone.
-  dom.Retire();
+  // Nothing is mapped any more: keep the identity and stats, delete the
+  // rest (the backend first, it points at the domain).
+  auto tomb = std::make_unique<DomainTombstone>();
+  tomb->name = dom.name();
+  tomb->memory_pages = dom.memory_pages();
+  tomb->home_nodes = dom.home_nodes();
+  tomb->policy_config = dom.policy_config();
+  tomb->stats = dom.stats();
+  slot.tombstone = std::move(tomb);
+  slot.backend.reset();
+  slot.domain.reset();
   if (domains_destroyed_ != nullptr) {
     domains_destroyed_->Increment();
     EmitEvent(obs_, "domain_destroy", "hv");
@@ -184,13 +211,13 @@ void Hypervisor::DestroyDomain(DomainId id) {
 }
 
 bool Hypervisor::DomainAlive(DomainId id) const {
-  return id >= 0 && id < num_domains() && !domains_[id]->destroyed();
+  return id >= 0 && id < num_domains() && slots_[id].domain != nullptr;
 }
 
 int Hypervisor::num_live_domains() const {
   int live = 0;
-  for (const auto& dom : domains_) {
-    if (!dom->destroyed()) {
+  for (const DomainSlot& slot : slots_) {
+    if (slot.domain != nullptr) {
       ++live;
     }
   }
@@ -212,7 +239,7 @@ DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
     return kInvalidDomain;
   }
 
-  const DomainId id = static_cast<DomainId>(domains_.size());
+  const DomainId id = static_cast<DomainId>(slots_.size());
   auto dom = std::make_unique<Domain>(id, config.name, config.memory_pages);
   dom->set_is_dom0(config.is_dom0);
   dom->set_pci_passthrough(config.pci_passthrough);
@@ -305,13 +332,14 @@ DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
   dom->ConfigureVnuma(config.vnuma);
   dom->SetPolicy(config.policy, MakePolicy(config.policy, geom));
 
-  domains_.push_back(std::move(dom));
-  backends_.push_back(std::make_unique<HvPlacementBackend>(*domains_.back(), frames_));
-  backends_.back()->set_observability(obs_);
+  DomainSlot& slot = slots_.emplace_back();
+  slot.domain = std::move(dom);
+  slot.backend = std::make_unique<HvPlacementBackend>(*slot.domain, frames_);
+  slot.backend->set_observability(obs_);
 
   // Eager policies (round-4K, round-1G) allocate the machine memory of the
   // domain at creation time (§3.3).
-  domains_.back()->policy()->Initialize(*backends_.back());
+  slot.domain->policy()->Initialize(*slot.backend);
   return id;
 }
 
@@ -345,7 +373,7 @@ HypercallStatus Hypervisor::HypercallSetPolicy(DomainId id, const PolicyConfig& 
 
 HypercallStatus Hypervisor::HypercallGetVnumaInfo(DomainId id, VnumaInfo* info) {
   XNUMA_CHECK(info != nullptr);
-  if (id < 0 || id >= num_domains()) {
+  if (!DomainAlive(id)) {
     return HypercallStatus::kBadDomain;
   }
   Domain& dom = domain(id);
@@ -438,8 +466,11 @@ NodeId Hypervisor::HandleGuestFault(DomainId id, Pfn pfn, CpuId toucher_cpu) {
 
 int Hypervisor::VcpusOnCpu(CpuId cpu) const {
   int count = 0;
-  for (const auto& dom : domains_) {
-    for (const VcpuDesc& v : dom->vcpus()) {
+  for (const DomainSlot& slot : slots_) {
+    if (slot.domain == nullptr) {
+      continue;
+    }
+    for (const VcpuDesc& v : slot.domain->vcpus()) {
       if (v.pinned_cpu == cpu) {
         ++count;
       }

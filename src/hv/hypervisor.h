@@ -64,6 +64,21 @@ struct DomainConfig {
   bool p2m_replication = false;
 };
 
+// What outlives a destroyed domain (docs/MODEL.md §17, invariant 6): its
+// identity, the placement it had, the policy it last ran and its lifetime
+// stats. The Domain, its placement backend and its policy object are
+// deleted; only this record stays behind its id.
+struct DomainTombstone {
+  std::string name;
+  int64_t memory_pages = 0;
+  std::vector<NodeId> home_nodes;
+  PolicyConfig policy_config;
+  DomainStats stats;
+
+  // Bytes the record occupies, its heap-held name and node list included.
+  int64_t MemoryBytes() const;
+};
+
 enum class HypercallStatus {
   kOk,
   kBadDomain,
@@ -110,24 +125,27 @@ class Hypervisor {
   DomainId TryCreateDomain(const DomainConfig& config);  // kInvalidDomain on failure
 
   // Tears a domain down: collapses replicas, invalidates every P2M entry
-  // (releasing the machine frames), drops the vCPU pCPU reservations and
-  // leaves a tombstone. Ids are stable handles, so domain(id) and
-  // backend(id) remain addressable; num_domains() never shrinks. The
-  // tombstone keeps the id, name, home nodes, policy config and stats and
-  // frees everything sized by the domain's pages or vCPUs (P2M chunks,
-  // superpage arrays, replicas and TLB contexts, the dirty tracker, the
-  // flush stamps, the vNUMA table): its P2M keeps no TLB and one null
-  // slot per 512-page chunk, less than a fresh, never-mapped table. Reads on it report every page unmapped; hypercalls that would
-  // map or touch pages refuse it (kBadDomain, or a check failure on the
-  // guest-only fault and flush paths). Idempotent.
+  // (releasing the machine frames), drops the vCPU pCPU reservations, then
+  // deletes the Domain, its placement backend and its policy, leaving a
+  // DomainTombstone behind the id. Ids are stable handles and
+  // num_domains() never shrinks, but domain(id) and backend(id) are live
+  // domains only: on a tombstone they fail a check, and hypercalls refuse
+  // it (kBadDomain, or a check failure on the guest-only fault and flush
+  // paths). Idempotent.
   void DestroyDomain(DomainId id);
   bool DomainAlive(DomainId id) const;
   int num_live_domains() const;
 
-  int num_domains() const { return static_cast<int>(domains_.size()); }
+  int num_domains() const { return static_cast<int>(slots_.size()); }
+  // Live domains only (DomainAlive).
   Domain& domain(DomainId id);
   const Domain& domain(DomainId id) const;
   HvPlacementBackend& backend(DomainId id);
+  // Destroyed domains only.
+  const DomainTombstone& tombstone(DomainId id) const;
+  // Bytes the hypervisor keeps for a destroyed domain: its slot in the id
+  // table plus its tombstone record.
+  int64_t TombstoneBytes(DomainId id) const;
 
   // ---- External interface, hypercall 1 (§4.2.1): select the NUMA policy
   // of a whole virtual machine; may also toggle Carrefour.
@@ -195,8 +213,14 @@ class Hypervisor {
   AdmissionSolver admission_solver_;
   AdmissionVerdict last_admission_;
   HvCosts costs_;
-  std::vector<std::unique_ptr<Domain>> domains_;
-  std::vector<std::unique_ptr<HvPlacementBackend>> backends_;
+  // One slot per id ever created: a live domain with its backend, or the
+  // tombstone DestroyDomain left.
+  struct DomainSlot {
+    std::unique_ptr<Domain> domain;
+    std::unique_ptr<HvPlacementBackend> backend;
+    std::unique_ptr<DomainTombstone> tombstone;
+  };
+  std::vector<DomainSlot> slots_;
   std::vector<int> cpu_reservations_;  // reserved pCPUs (for packing)
 
   // Observability (null = disabled; handles valid only while obs_ != null).

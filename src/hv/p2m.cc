@@ -1398,7 +1398,7 @@ P2mTable::Run P2mTable::LookupRun(Pfn pfn, int32_t vcpu) const {
   CheckRange(pfn, 1);
   const int64_t ci = pfn >> kChunkShift;
   if (tlb_.empty()) {
-    // Reference tables and tombstones have no TLB: resolve directly.
+    // Reference-mode tables have no TLB: resolve directly.
     int8_t kind = 0;
     int64_t id = 0;
     return ResolveRun(pfn, &kind, &id);
@@ -1490,25 +1490,6 @@ void P2mTable::ConfigureTlb(int num_vcpus) {
     tlb_.assign(static_cast<size_t>(tlb_contexts_) * kTlbSets, TlbEntry{});
   }
   vcpu_nodes_.assign(tlb_contexts_, home_node_);
-}
-
-void P2mTable::ReleaseStorage() {
-  XNUMA_CHECK(valid_count_ == 0);
-  DisableReplication();
-  // With nothing mapped there are no extents and no superpages; a chunk
-  // left behind is empty or, when packed, all zero entries.
-  for (std::unique_ptr<Chunk>& c : chunks_) {
-    c.reset();
-  }
-  packed_chunk_count_ = 0;
-  for (SpLevel& s : sp_) {
-    std::vector<uint64_t>().swap(s.entries);
-  }
-  // No TLB either: lookups on a table without one resolve directly, and
-  // a tombstone's lookups are rare and trivially all-absent.
-  tlb_contexts_ = 1;
-  std::vector<TlbEntry>().swap(tlb_);
-  std::vector<int>().swap(vcpu_nodes_);
 }
 
 void P2mTable::InvalidateTlb() const {

@@ -177,15 +177,6 @@ class P2mTable {
 
   int64_t valid_count() const { return valid_count_; }
 
-  // Frees every allocation sized by the table's pages or vCPUs; nothing may
-  // be mapped (domain teardown). Drops the chunk objects — chunks_ keeps
-  // its slots, all null, which every read treats as absent — the superpage
-  // slot arrays, the replicas, the TLB and the vCPU node table. Afterwards
-  // every read reports unmapped, lookups resolve without a TLB (as in
-  // reference mode), and the table is smaller than a freshly constructed
-  // one.
-  void ReleaseStorage();
-
   // ---- Translation cache ----------------------------------------------
 
   // Sizes the TLB for `num_vcpus` contexts (one direct-mapped set of

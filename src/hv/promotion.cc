@@ -31,7 +31,7 @@ void PromotionDaemon::Tick() {
   const bool audit = std::getenv("XNUMA_P2M_AUDIT") != nullptr;
   for (DomainId id = 0; id < hv_.num_domains(); ++id) {
     if (!hv_.DomainAlive(id)) {
-      continue;  // a tombstone maps nothing to promote
+      continue;  // a tombstone has no table to promote
     }
     P2mTable& p2m = hv_.domain(id).p2m();
     if (p2m.max_order() == PageOrder::k4K) {

@@ -22,6 +22,21 @@ FrameAllocator::FrameAllocator(const Topology& topo, int64_t bytes_per_frame)
   free_count_ = node_sizes_;
   used_.assign((total_frames_ + 63) >> 6, 0);
   rover_.assign(topo.num_nodes(), 0);
+  generation_.assign(topo.num_nodes(), 1);
+  space_memo_.resize(topo.num_nodes());
+}
+
+int64_t AlignedBlocksInExtent(Mfn first, int64_t count, int64_t span) {
+  XNUMA_CHECK(span > 0);
+  if (span == 1) {
+    return count;
+  }
+  const Mfn aligned_first = ((first + span - 1) / span) * span;
+  const Mfn end = first + count;
+  if (aligned_first >= end) {
+    return 0;
+  }
+  return (end - aligned_first) / span;
 }
 
 int64_t FrameAllocator::FramesPerOrder(PageOrder order) const {
@@ -100,6 +115,30 @@ FrameAllocator::FreeExtentCursor FrameAllocator::FreeExtents(NodeId node) const 
   XNUMA_CHECK(node >= 0 && node < topo_->num_nodes());
   const int64_t base = node_bases_[node];
   return FreeExtentCursor(this, base, base + node_sizes_[node]);
+}
+
+NodeSpace FrameAllocator::Space(NodeId node) const {
+  XNUMA_CHECK(node >= 0 && node < topo_->num_nodes());
+  SpaceMemo& memo = space_memo_[node];
+  if (memo.generation == generation_[node]) {
+    return memo.space;
+  }
+  NodeSpace space;
+  space.node = node;
+  const int64_t span_2m = FramesPerOrder(PageOrder::k2M);
+  const int64_t span_1g = FramesPerOrder(PageOrder::k1G);
+  FreeExtentCursor cursor = FreeExtents(node);
+  FreeExtent extent;
+  while (cursor.Next(&extent)) {
+    ++space.free_extents;
+    space.free_frames += extent.count;
+    space.largest_extent = std::max(space.largest_extent, extent.count);
+    space.blocks_2m += AlignedBlocksInExtent(extent.first, extent.count, span_2m);
+    space.blocks_1g += AlignedBlocksInExtent(extent.first, extent.count, span_1g);
+  }
+  memo.space = space;
+  memo.generation = generation_[node];
+  return space;
 }
 
 int64_t FrameAllocator::RecountFreeFrames(NodeId node) const {
@@ -185,6 +224,7 @@ Mfn FrameAllocator::AllocOnNode(NodeId node) {
   XNUMA_CHECK(found >= 0);  // free_count_ said there was a free frame.
   SetBit(found);
   --free_count_[node];
+  ++generation_[node];
   rover_[node] = (found - base + 1) % size;
   return found;
 }
@@ -207,6 +247,7 @@ Mfn FrameAllocator::AllocContiguous(NodeId node, int64_t count) {
     SetBit(first + k);
   }
   free_count_[node] -= count;
+  ++generation_[node];
   return first;
 }
 
@@ -214,7 +255,9 @@ void FrameAllocator::Free(Mfn mfn) {
   XNUMA_CHECK(mfn >= 0 && mfn < total_frames_);
   XNUMA_CHECK(TestBit(mfn));
   ClearBit(mfn);
-  ++free_count_[NodeOf(mfn)];
+  const NodeId node = NodeOf(mfn);
+  ++free_count_[node];
+  ++generation_[node];
 }
 
 void FrameAllocator::FreeContiguous(Mfn first, int64_t count) {
@@ -255,6 +298,7 @@ void FrameAllocator::FragmentEdgeRegions(int holes_per_edge, uint64_t seed) {
         if (!TestBit(mfn)) {
           SetBit(mfn);
           --free_count_[node];
+          ++generation_[node];
         }
       }
     }

@@ -31,6 +31,27 @@ struct FreeExtent {
   int64_t count = 0;
 };
 
+// Exact free-extent summary of one node: the Gudkov et al. available space
+// (PAPERS.md, src/admission/available_space.h). The true admission capacity
+// of a node is not its free frame count but the shape of its free extents.
+struct NodeSpace {
+  NodeId node = kInvalidNode;
+  int64_t free_frames = 0;     // exact capacity for order-4K allocation
+  int64_t free_extents = 0;    // number of maximal free runs
+  int64_t largest_extent = 0;  // frames in the largest free run
+  // Naturally-aligned whole blocks available at the machine's 2M/1G frame
+  // spans (FrameAllocator::FramesPerOrder). A span that collapses onto one
+  // frame degenerates to free_frames. This is the Gudkov available-space
+  // number: what a huge-page P2M MapRange could actually take.
+  int64_t blocks_2m = 0;
+  int64_t blocks_1g = 0;
+};
+
+// Aligned order-blocks fully contained in the free extent [first,
+// first+count): alignment is absolute (machine frame 0), matching what
+// AllocContiguous at an aligned span could satisfy back-to-back.
+int64_t AlignedBlocksInExtent(Mfn first, int64_t count, int64_t span);
+
 class FrameAllocator {
  public:
   // `bytes_per_frame` sets the simulation scale (default: one frame per
@@ -92,6 +113,21 @@ class FrameAllocator {
   };
   FreeExtentCursor FreeExtents(NodeId node) const;
 
+  // Mutation generation of `node`: bumped by every call that sets or clears
+  // a bit of the node's bitmap (AllocOnNode, a successful AllocContiguous,
+  // Free and so FreeContiguous, FragmentEdgeRegions). Equal generations
+  // mean an identical bitmap; calls that fail leave it unchanged.
+  uint64_t generation(NodeId node) const { return generation_[node]; }
+
+  // The free-extent summary of `node`, memoized per node: one pass over the
+  // node's FreeExtents cursor, rerun only when the node's generation moved
+  // since the previous call, so it is exact on every allocator state
+  // (docs/MODEL.md §17; RecountNodeSpace in available_space.h is the
+  // brute-force oracle). The memo is written by this const read: like the
+  // mutators, it must not race another call on the same allocator, which
+  // belongs to the one thread driving its machine.
+  NodeSpace Space(NodeId node) const;
+
   // Audit: recounts the free frames of `node` from the bitmap (popcount over
   // the node's words). Must always equal FreeFrames(node); the balloon and
   // chunk-release regression tests pin that the cached per-node counter
@@ -132,6 +168,14 @@ class FrameAllocator {
   std::vector<uint64_t> used_;
   // Next-fit rover per node keeps single-frame allocation O(1) amortized.
   std::vector<int64_t> rover_;
+  // Per-node mutation generation (starts at 1) and the Space memo; a memo
+  // entry is current iff its generation equals the node's (0 = never).
+  struct SpaceMemo {
+    uint64_t generation = 0;
+    NodeSpace space;
+  };
+  std::vector<uint64_t> generation_;
+  mutable std::vector<SpaceMemo> space_memo_;
   FaultInjector* injector_ = nullptr;
 };
 

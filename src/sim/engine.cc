@@ -1579,8 +1579,8 @@ RunResult Engine::Run() {
     }
     // Epoch boundary: drop every cached P2M run (per-chunk generations keep
     // intra-epoch lookups coherent; this bounds cross-epoch staleness).
-    // Destroyed domains are skipped: a tombstone maps nothing and has no
-    // TLB, so the loop's cost follows the live tenants.
+    // Destroyed domains are skipped: a tombstone has no table at all, so
+    // the loop's cost follows the live tenants.
     {
       XNUMA_TRACE_SCOPE(obs_, "tlb_invalidate", "engine", tlb_invalidate_seconds_);
       for (DomainId d = 0; d < hv_->num_domains(); ++d) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/admission/available_space.h"
@@ -187,6 +188,144 @@ TEST(AdmissionPropertyTest, RejectionsAreNeverSpurious) {
       }
     }
   }
+}
+
+void ExpectSameSpace(const NodeSpace& fast, const NodeSpace& slow, uint64_t seed, int op) {
+  ASSERT_EQ(fast.node, slow.node) << "seed " << seed << " op " << op;
+  ASSERT_EQ(fast.free_frames, slow.free_frames) << "seed " << seed << " op " << op;
+  ASSERT_EQ(fast.free_extents, slow.free_extents) << "seed " << seed << " op " << op;
+  ASSERT_EQ(fast.largest_extent, slow.largest_extent) << "seed " << seed << " op " << op;
+  ASSERT_EQ(fast.blocks_2m, slow.blocks_2m) << "seed " << seed << " op " << op;
+  ASSERT_EQ(fast.blocks_1g, slow.blocks_1g) << "seed " << seed << " op " << op;
+}
+
+// The memoized summary (FrameAllocator::Space behind ComputeNodeSpace) is
+// exact after every kind of allocator mutation: it is queried on every node
+// after every single call, so each query either hits a memo the previous
+// call left current or rescans the one node that changed. Failed calls
+// (node exhausted, no contiguous run, injected failures on odd seeds) must
+// leave every generation, and so every memo, as it was; a successful call
+// moves only the generation of the node it touched.
+TEST(AdmissionPropertyTest, MemoizedSpaceEqualsRecountAfterEveryMutation) {
+  int64_t injected_failures = 0;
+  int64_t failed_runs = 0;
+  int64_t contiguous_frees = 0;
+  int64_t edge_fragmentations = 0;
+  for (uint64_t seed = 300; seed < 360; ++seed) {
+    Rng rng(seed);
+    const int nodes = 1 + static_cast<int>(rng.NextInt(4));
+    const int64_t frames_per_node = 8 + rng.NextInt(200);
+    const Topology topo =
+        Topology::Synthetic(nodes, 2, frames_per_node * (4ll << 20));
+    FaultInjector faults;  // must outlive `frames`
+    // A coarse frame scale for some seeds makes the 2M/1G spans collapse
+    // onto one frame, and a fine one makes them span many frames.
+    const int64_t bytes_per_frame = rng.NextBool(0.5) ? (4ll << 20) : (1ll << 20);
+    FrameAllocator frames(topo, bytes_per_frame);
+    if (seed % 2 == 1) {
+      faults.Configure(FaultPlan::Uniform(seed, 0.25));
+      frames.set_fault_injector(&faults);
+    }
+    std::vector<Mfn> singles;
+    std::vector<std::pair<Mfn, int64_t>> runs;
+    auto check_all = [&](int op) {
+      for (NodeId node = 0; node < frames.num_nodes(); ++node) {
+        ExpectSameSpace(ComputeNodeSpace(frames, node), RecountNodeSpace(frames, node),
+                        seed, op);
+      }
+    };
+    check_all(-1);
+    for (int op = 0; op < 250; ++op) {
+      const NodeId node = static_cast<NodeId>(rng.NextInt(frames.num_nodes()));
+      std::vector<uint64_t> before(frames.num_nodes());
+      for (NodeId n = 0; n < frames.num_nodes(); ++n) {
+        before[n] = frames.generation(n);
+      }
+      NodeId touched = kInvalidNode;  // the node a successful call changed
+      bool changed = false;
+      switch (rng.NextInt(6)) {
+        case 0: {
+          const int64_t free_before = frames.FreeFrames(node);
+          const Mfn mfn = frames.AllocOnNode(node);
+          if (mfn != kInvalidMfn) {
+            singles.push_back(mfn);
+            touched = node;
+            changed = true;
+          } else if (free_before > 0) {
+            ++injected_failures;
+          }
+          break;
+        }
+        case 1: {
+          // Sometimes more than the node could ever hold, sometimes more
+          // than its largest run: both fail without touching the bitmap.
+          const int64_t count = rng.NextBool(0.1) ? frames.frames_per_node(node) + 1
+                                                  : 1 + rng.NextInt(16);
+          const bool had_room = frames.FreeFrames(node) >= count;
+          const Mfn first = frames.AllocContiguous(node, count);
+          if (first != kInvalidMfn) {
+            runs.emplace_back(first, count);
+            touched = node;
+            changed = true;
+          } else if (had_room) {
+            ++failed_runs;  // injected, or no free run that long
+          }
+          break;
+        }
+        case 2:
+        case 3: {
+          if (!singles.empty()) {
+            const size_t idx = static_cast<size_t>(rng.NextInt(singles.size()));
+            touched = frames.NodeOf(singles[idx]);
+            frames.Free(singles[idx]);
+            singles[idx] = singles.back();
+            singles.pop_back();
+            changed = true;
+          }
+          break;
+        }
+        case 4: {
+          if (!runs.empty()) {
+            const size_t idx = static_cast<size_t>(rng.NextInt(runs.size()));
+            touched = frames.NodeOf(runs[idx].first);
+            frames.FreeContiguous(runs[idx].first, runs[idx].second);
+            runs[idx] = runs.back();
+            runs.pop_back();
+            changed = true;
+            ++contiguous_frees;
+          }
+          break;
+        }
+        default: {
+          if (rng.NextBool(0.2)) {
+            frames.FragmentEdgeRegions(1 + static_cast<int>(rng.NextInt(3)), seed + op);
+            ++edge_fragmentations;
+            // Touches every node that had a free edge frame left; checked
+            // below through the summaries alone.
+            check_all(op);
+            continue;
+          }
+          break;
+        }
+      }
+      for (NodeId n = 0; n < frames.num_nodes(); ++n) {
+        if (changed && n == touched) {
+          ASSERT_GT(frames.generation(n), before[n]) << "seed " << seed << " op " << op;
+        } else {
+          ASSERT_EQ(frames.generation(n), before[n]) << "seed " << seed << " op " << op;
+        }
+      }
+      check_all(op);
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+  // Every mutation kind, and every kind of failure, actually happened.
+  EXPECT_GT(injected_failures, 0);
+  EXPECT_GT(failed_runs, 0);
+  EXPECT_GT(contiguous_frees, 0);
+  EXPECT_GT(edge_fragmentations, 0);
 }
 
 TEST(AdmissionPropertyTest, CursorIsExactOnDegenerateNodes) {

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "src/admission/available_space.h"
 #include "src/admission/churn_runner.h"
+#include "src/common/rng.h"
 #include "src/hv/hypervisor.h"
 #include "src/hv/p2m.h"
 #include "src/hv/promotion.h"
@@ -34,28 +36,45 @@ ChurnSpec SoakSpec() {
   return spec;
 }
 
-// What a P2M table holds on the heap, mapping store and TLB together.
-int64_t Footprint(const P2mTable& p2m) { return p2m.MemoryBytes() + p2m.TlbBytes(); }
-
 // A fresh, never-mapped table: one TLB context plus its chunk-pointer array.
 int64_t FreshFootprint(int64_t num_pages) {
   const P2mTable fresh(num_pages);
-  return Footprint(fresh);
+  return fresh.MemoryBytes() + fresh.TlbBytes();
 }
 
-// Walks a destroyed domain's whole address space: every run is unmapped and
-// the runs tile [0, memory_pages).
-void ExpectAllUnmapped(Hypervisor& hv, DomainId id) {
-  HvPlacementBackend& be = hv.backend(id);
-  const int64_t pages = hv.domain(id).memory_pages();
-  for (Pfn p = 0; p < pages;) {
-    const HvPlacementBackend::PlacementRun run = be.NodeOfRange(p);
-    ASSERT_EQ(run.first, p) << "domain " << id;
-    ASSERT_GT(run.count, 0) << "domain " << id;
-    EXPECT_FALSE(run.mapped) << "domain " << id << " pfn " << p;
-    EXPECT_EQ(run.node, kInvalidNode) << "domain " << id << " pfn " << p;
-    p += run.count;
+// What a tombstone may keep (docs/MODEL.md §17, invariant 6): a few hundred
+// bytes, whatever the size of the domain it replaced.
+constexpr int64_t kTombstoneBytes = 300;
+
+// A tombstone has no domain object left behind: every accessor that would
+// reach one fails its check, and the vNUMA query refuses the id.
+void ExpectNoDomainObject(Hypervisor& hv, DomainId id) {
+  EXPECT_FALSE(hv.DomainAlive(id)) << "domain " << id;
+  EXPECT_DEATH((void)hv.domain(id), "DomainAlive") << "domain " << id;
+  EXPECT_DEATH((void)hv.backend(id), "DomainAlive") << "domain " << id;
+  VnumaInfo info;
+  EXPECT_EQ(hv.HypercallGetVnumaInfo(id, &info), HypercallStatus::kBadDomain);
+}
+
+// Machine frames and pCPU reservations are held by live domains only: the
+// frames their P2M tables map (none of these machines replicates pages)
+// plus the free frames make up the whole allocatable machine, and the
+// vCPUs pinned across all pCPUs are exactly the live domains' vCPUs.
+void ExpectOnlyLiveDomainsHoldResources(Hypervisor& hv, int64_t baseline_free) {
+  int64_t mapped = 0;
+  int64_t vcpus = 0;
+  for (DomainId id = 0; id < hv.num_domains(); ++id) {
+    if (hv.DomainAlive(id)) {
+      mapped += hv.domain(id).p2m().valid_count();
+      vcpus += static_cast<int64_t>(hv.domain(id).vcpus().size());
+    }
   }
+  EXPECT_EQ(hv.frames().TotalFreeFrames() + mapped, baseline_free);
+  int64_t pinned = 0;
+  for (CpuId c = 0; c < hv.topology().num_cpus(); ++c) {
+    pinned += hv.VcpusOnCpu(c);
+  }
+  EXPECT_EQ(pinned, vcpus);
 }
 
 // FNV-1a over one domain's page->node runs.
@@ -209,13 +228,16 @@ TEST(ChurnSoakTest, DestroyDomainIsIdempotent) {
   EXPECT_EQ(hv.frames().TotalFreeFrames(), free_after);
 }
 
-// A destroyed domain is a tombstone (docs/MODEL.md §17, invariant 6): it
-// retains no more than a fresh empty table and reports every page unmapped.
+// A destroyed domain is a tombstone (docs/MODEL.md §17, invariant 6): a
+// small record, smaller than a fresh empty table, that holds no frame, no
+// pCPU and no domain object.
 TEST(ChurnSoakTest, DestroyedDomainsRetainConstantStorage) {
   const Topology topo = SoakTopo();
   Hypervisor hv(topo);
+  const int64_t baseline_free = hv.frames().TotalFreeFrames();
   ChurnRunner runner(hv);
-  (void)runner.Run(GenerateChurnTrace(SoakSpec()), DomainConfig{});
+  const ChurnSpec spec = SoakSpec();
+  (void)runner.Run(GenerateChurnTrace(spec), DomainConfig{});
 
   int tombstones = 0;
   for (DomainId id = 0; id < hv.num_domains(); ++id) {
@@ -223,19 +245,22 @@ TEST(ChurnSoakTest, DestroyedDomainsRetainConstantStorage) {
       continue;
     }
     ++tombstones;
-    const Domain& dom = hv.domain(id);
-    EXPECT_LE(Footprint(dom.p2m()), FreshFootprint(dom.memory_pages())) << "domain " << id;
-    EXPECT_EQ(dom.p2m().valid_count(), 0) << "domain " << id;
-    EXPECT_TRUE(dom.vcpus().empty()) << "domain " << id;
-    dom.p2m().AuditCounters();
-    // Soak tenants fit in one 512-page chunk, so one run covers them.
-    const HvPlacementBackend::PlacementRun run = hv.backend(id).NodeOfRange(0);
-    EXPECT_EQ(run.first, 0) << "domain " << id;
-    EXPECT_EQ(run.count, dom.memory_pages()) << "domain " << id;
-    EXPECT_FALSE(run.mapped) << "domain " << id;
-    EXPECT_EQ(run.node, kInvalidNode) << "domain " << id;
+    const DomainTombstone& tomb = hv.tombstone(id);
+    EXPECT_LE(hv.TombstoneBytes(id), kTombstoneBytes) << "domain " << id;
+    EXPECT_LE(hv.TombstoneBytes(id), FreshFootprint(tomb.memory_pages)) << "domain " << id;
+    EXPECT_EQ(tomb.name.rfind("churn-", 0), 0u) << "domain " << id;
+    EXPECT_GE(tomb.memory_pages, spec.min_pages) << "domain " << id;
+    EXPECT_LE(tomb.memory_pages, spec.max_pages) << "domain " << id;
+    EXPECT_FALSE(tomb.home_nodes.empty()) << "domain " << id;
   }
   EXPECT_GT(tombstones, 1000);
+  ExpectOnlyLiveDomainsHoldResources(hv, baseline_free);
+  for (DomainId id = 0; id < hv.num_domains(); ++id) {
+    if (!hv.DomainAlive(id)) {
+      ExpectNoDomainObject(hv, id);
+      break;
+    }
+  }
 }
 
 // Per-epoch upkeep — a promotion tick and a TLB flush of every table —
@@ -248,24 +273,28 @@ TEST(ChurnSoakTest, EpochUpkeepOverTombstonesKeepsLivePlacement) {
   (void)runner.Run(GenerateChurnTrace(SoakSpec()), tmpl);
   ASSERT_LT(hv.num_live_domains(), hv.num_domains());
   const uint64_t before = runner.Run({}, tmpl).placement_digest;
+  const int live = hv.num_live_domains();
 
   PromotionDaemon daemon(hv, PromotionDaemon::Config{});
   daemon.Tick();
   for (DomainId id = 0; id < hv.num_domains(); ++id) {
-    hv.domain(id).p2m().InvalidateTlb();
+    if (hv.DomainAlive(id)) {
+      hv.domain(id).p2m().InvalidateTlb();
+    }
   }
   EXPECT_EQ(runner.Run({}, tmpl).placement_digest, before);
+  EXPECT_EQ(hv.num_live_domains(), live);
   for (DomainId id = 0; id < hv.num_domains(); ++id) {
     if (!hv.DomainAlive(id)) {
-      ExpectAllUnmapped(hv, id);
+      EXPECT_LE(hv.TombstoneBytes(id), kTombstoneBytes) << "domain " << id;
     }
   }
 }
 
 // Tombstones of every shape: superpage-mapped, packed and vNUMA-tracked
-// with PV-queue flushes, replicated. Each shrinks to no more than a fresh
-// table, reads all-unmapped across every chunk, keeps its identity and
-// stats, and refuses a policy switch that would map it again.
+// with PV-queue flushes, replicated. Each shrinks to a small record (less
+// than a fresh table), leaves no domain object behind, keeps its identity
+// and stats, and refuses a policy switch that would map it again.
 TEST(ChurnSoakTest, TombstonesOfEveryShapeAreEmptyAndSmall) {
   const Topology topo = Topology::Amd48();
   Hypervisor hv(topo);
@@ -324,22 +353,24 @@ TEST(ChurnSoakTest, TombstonesOfEveryShapeAreEmptyAndSmall) {
   for (const DomainId id : {huge_id, shred_id, repl_id}) {
     const std::vector<NodeId> homes = hv.domain(id).home_nodes();
     const PolicyConfig policy = hv.domain(id).policy_config();
+    const int64_t pages = hv.domain(id).memory_pages();
     hv.DestroyDomain(id);
-    const Domain& dom = hv.domain(id);
-    EXPECT_LE(Footprint(dom.p2m()), FreshFootprint(dom.memory_pages())) << dom.name();
-    EXPECT_EQ(dom.p2m().packed_chunk_count(), 0) << dom.name();
-    EXPECT_EQ(dom.p2m().replica_count(), 0) << dom.name();
-    dom.p2m().AuditCounters();
-    ExpectAllUnmapped(hv, id);
-    EXPECT_EQ(dom.home_nodes(), homes) << dom.name();
-    EXPECT_EQ(dom.policy_config(), policy) << dom.name();
+    const DomainTombstone& tomb = hv.tombstone(id);
+    EXPECT_LE(hv.TombstoneBytes(id), kTombstoneBytes) << tomb.name;
+    EXPECT_LE(hv.TombstoneBytes(id), FreshFootprint(pages)) << tomb.name;
+    ExpectNoDomainObject(hv, id);
+    EXPECT_EQ(tomb.memory_pages, pages) << tomb.name;
+    EXPECT_EQ(tomb.home_nodes, homes) << tomb.name;
+    EXPECT_EQ(tomb.policy_config, policy) << tomb.name;
     PolicyConfig round4k;
     round4k.placement = StaticPolicy::kRound4k;
     EXPECT_EQ(hv.HypercallSetPolicy(id, round4k), HypercallStatus::kBadDomain);
-    ExpectAllUnmapped(hv, id);
+    EXPECT_FALSE(hv.DomainAlive(id)) << tomb.name;
   }
-  EXPECT_EQ(hv.domain(huge_id).name(), "huge");
-  EXPECT_EQ(hv.domain(shred_id).stats().hv_page_faults, shred_faults);
+  EXPECT_EQ(hv.tombstone(huge_id).name, "huge");
+  EXPECT_EQ(hv.tombstone(shred_id).name, "shredded");
+  EXPECT_EQ(hv.tombstone(repl_id).name, "replicated");
+  EXPECT_EQ(hv.tombstone(shred_id).stats.hv_page_faults, shred_faults);
   EXPECT_EQ(hv.frames().TotalFreeFrames(),
             free_before + huge.memory_pages + (P2mTable::kChunkPages - 1) +
                 replicated.memory_pages);  // the flush released 2 of 513
@@ -347,7 +378,9 @@ TEST(ChurnSoakTest, TombstonesOfEveryShapeAreEmptyAndSmall) {
   PromotionDaemon daemon(hv, PromotionDaemon::Config{});
   daemon.Tick();
   for (DomainId id = 0; id < hv.num_domains(); ++id) {
-    hv.domain(id).p2m().InvalidateTlb();
+    if (hv.DomainAlive(id)) {
+      hv.domain(id).p2m().InvalidateTlb();
+    }
   }
   EXPECT_EQ(hv.num_live_domains(), 1);
   EXPECT_EQ(PlacementDigest(hv, live_id), survivor_before);
@@ -402,6 +435,119 @@ TEST(ChurnSoakTest, ChurnMetricsAreRecorded) {
   EXPECT_EQ(value_of("admission.rejected"), report.rejected);
   EXPECT_EQ(value_of("admission.deferred"), report.deferred);
   EXPECT_EQ(value_of("hv.domains_destroyed"), report.departures);
+}
+
+// ---- Golden churn pins ----------------------------------------------------
+// Generated before the churn digest's Mix was folded and before the
+// admission memo and tombstone compaction landed; a bookkeeping change that
+// is meant to be behaviour-neutral must keep them.
+
+// FNV-1a 64 over the eight bytes of `v`, low byte first: the byte-wise
+// definition the churn digest follows.
+uint64_t ReferenceMix(uint64_t h, uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// The deterministic fields of a report (the solver latencies are wall clock).
+uint64_t ReportDigest(const ChurnReport& r) {
+  uint64_t h = 1469598103934665603ull;
+  for (const int64_t x : {r.events, r.arrivals, r.admitted, r.deferred, r.rejected,
+                          r.departures, r.balloon_down_pages, r.balloon_up_pages,
+                          r.migrated_pages, static_cast<int64_t>(r.final_live_domains)}) {
+    h = ReferenceMix(h, static_cast<uint64_t>(x));
+  }
+  h = ReferenceMix(h, DoubleBits(r.final_fragmentation));
+  return ReferenceMix(h, r.placement_digest);
+}
+
+// The AMD48 tenant-admission shape (the bench/extra_churn soak shape).
+ChurnSpec Amd48Spec(uint64_t seed, int num_events) {
+  ChurnSpec spec;
+  spec.seed = seed;
+  spec.num_events = num_events;
+  spec.target_live_domains = 40;
+  spec.min_pages = 8;
+  spec.max_pages = 4096;
+  spec.max_vcpus = 12;
+  spec.huge_page_fraction = 0.3;
+  return spec;
+}
+
+TEST(ChurnSoakTest, GoldenAmd48ReplayInOneRun) {
+  const Topology topo = Topology::Amd48();
+  Hypervisor hv(topo);
+  ChurnRunner runner(hv);
+  const ChurnReport r = runner.Run(GenerateChurnTrace(Amd48Spec(7, 20000)), DomainConfig{});
+  EXPECT_EQ(r.events, 20000);
+  EXPECT_EQ(r.arrivals, 7003);
+  EXPECT_EQ(r.admitted, 6784);
+  EXPECT_EQ(r.deferred, 219);
+  EXPECT_EQ(r.rejected, 0);
+  EXPECT_EQ(r.departures, 6781);
+  EXPECT_EQ(r.balloon_down_pages, 39114);
+  EXPECT_EQ(r.balloon_up_pages, 7776);
+  EXPECT_EQ(r.migrated_pages, 11951);
+  EXPECT_EQ(r.final_live_domains, 3);
+  EXPECT_EQ(DoubleBits(r.final_fragmentation), 0x3fc5c5aecbc3fc40ull);
+  EXPECT_EQ(r.placement_digest, 0xe5c995230a45671aull);
+}
+
+// One event per Run call, as the tenant_churn benchmark replays: every
+// call's report (end-of-run fragmentation and digest included) is hashed.
+TEST(ChurnSoakTest, GoldenAmd48OneEventPerRun) {
+  const Topology topo = Topology::Amd48();
+  Hypervisor hv(topo);
+  ChurnRunner runner(hv);
+  const DomainConfig tmpl;
+  uint64_t h = 1469598103934665603ull;
+  std::vector<ChurnEvent> one(1);
+  for (const ChurnEvent& ev : GenerateChurnTrace(Amd48Spec(7, 2000))) {
+    one[0] = ev;
+    h = ReferenceMix(h, ReportDigest(runner.Run(one, tmpl)));
+  }
+  h = ReferenceMix(h, ReportDigest(runner.Run({}, tmpl)));
+  EXPECT_EQ(h, 0x2cc0a37e570fcb78ull);
+}
+
+// The folded mixer equals byte-wise FNV-1a on values with every count of
+// high zero bytes, and from states that are not the FNV offset basis.
+TEST(ChurnSoakTest, MixMatchesBytewiseFnv1a) {
+  std::vector<uint64_t> values = {0,
+                                  0xff,
+                                  0x100,
+                                  uint64_t{1} << 56,
+                                  ~0ull,
+                                  static_cast<uint64_t>(kInvalidNode)};
+  for (int bits = 1; bits <= 64; ++bits) {
+    values.push_back(uint64_t{1} << (bits - 1));
+    values.push_back(~0ull >> (64 - bits));
+  }
+  Rng rng(7);
+  for (int i = 0; i < 256; ++i) {
+    values.push_back(rng.NextU64() >> rng.NextInt(64));
+  }
+  for (const uint64_t start : {1469598103934665603ull, 0ull, ~0ull, 0x0123456789abcdefull}) {
+    uint64_t chained = start;
+    uint64_t reference = start;
+    for (const uint64_t v : values) {
+      uint64_t h = start;
+      MixFnv1a(&h, v);
+      EXPECT_EQ(h, ReferenceMix(start, v)) << std::hex << "v=" << v << " start=" << start;
+      MixFnv1a(&chained, v);
+      reference = ReferenceMix(reference, v);
+    }
+    EXPECT_EQ(chained, reference) << std::hex << "start=" << start;
+  }
 }
 
 }  // namespace

@@ -228,9 +228,11 @@ TEST(P2mReplicationTest, DestroyDomainTearsDownReplicationState) {
   ASSERT_TRUE(d.IsReplicated(victim));
 
   hv.DestroyDomain(dom);
-  EXPECT_TRUE(d.replicas().empty());
-  EXPECT_FALSE(d.p2m().replication_enabled());
-  EXPECT_EQ(d.p2m().replica_count(), 0);
+  // The domain object, its replica map and its P2M replicas are gone; the
+  // tombstone's stats record the orphaned replica set's collapse.
+  EXPECT_FALSE(hv.DomainAlive(dom));
+  EXPECT_EQ(hv.tombstone(dom).stats.pages_replicated, 1);
+  EXPECT_EQ(hv.tombstone(dom).stats.replicas_collapsed, 1);
   // Every frame came back: the masters, and the orphaned replica copies.
   EXPECT_EQ(hv.frames().TotalFreeFrames(), frames_baseline);
 }
