@@ -9,10 +9,14 @@
 // and both ordering and content are bit-identical to the serial loop for
 // every jobs value.
 //
-// Failures do not tear down the matrix: a spec that is invalid, or whose
-// run throws, yields an outcome with ok == false and the error text, and
-// every other spec still runs. (XNUMA_CHECK violations abort the process,
-// as everywhere else — the runner only converts *exceptions*.)
+// Failures do not tear down the matrix: a spec that is invalid (bad thread
+// count, empty app, shared per-run state attached), or whose run throws
+// *anything* — non-std::exception values included — yields an outcome with
+// ok == false and the error text, and every other spec still runs. No body
+// ever reaches ParallelFor's lowest-index rethrow, so one poisoned cell can
+// never discard the rest of a drained matrix (tests/parallel_runner_test.cc
+// pins this). XNUMA_CHECK violations abort the process, as everywhere else
+// — the runner only converts exceptions.
 
 #ifndef XENNUMA_SRC_EXEC_EXPERIMENT_RUNNER_H_
 #define XENNUMA_SRC_EXEC_EXPERIMENT_RUNNER_H_
@@ -45,7 +49,7 @@ struct RunOutcome {
   JobResult result;   // valid when ok
 };
 
-// The function a runner executes per spec. Null means RunSingleApp; tests
+// The function the runner executes per spec. Null means RunSingleApp; tests
 // substitute hostile bodies (throwing non-std values, etc.) to pin the
 // degrade-to-outcome contract without building hostile machines.
 using RunSpecFn = JobResult (*)(const AppProfile&, const StackConfig&, const RunOptions&);
@@ -59,8 +63,7 @@ class ParallelRunner {
     // Runner-level observability (exec.* metrics). Only ever touched from
     // the calling thread, never from workers.
     Observability* obs = nullptr;
-    // Test seam: body executed per spec (null = RunSingleApp). Shared with
-    // the dispatcher worker via ExecuteSpec (src/exec/run_outcome.h).
+    // Test seam: body executed per spec (null = RunSingleApp).
     RunSpecFn run = nullptr;
   };
 

@@ -1,12 +1,11 @@
 // Shared matchers for the execution-layer test battery: field-by-field
 // equality over RunOutcome matrices, doubles compared by bit pattern.
 //
-// Exact compares are the point — the parallel runner (threads), the
-// multi-process dispatcher, and the serial loop all promise *bit-identical*
-// outcomes, not approximately-equal ones (docs/MODEL.md §12, §15), and so
-// does the solver's exact early exit against its fixed-count oracle. Used by
-// parallel_runner_test, dispatcher_differential_test, dispatcher_crash_test
-// and fixed_point_test so all pin the same definition of "same".
+// Exact compares are the point — the parallel runner (threads) and the
+// serial loop promise *bit-identical* outcomes, not approximately-equal ones
+// (docs/MODEL.md §12), and so does the solver's exact early exit against its
+// fixed-count oracle. Used by parallel_runner_test and fixed_point_test so
+// both pin the same definition of "same".
 
 #ifndef XENNUMA_TESTS_OUTCOME_MATCHERS_H_
 #define XENNUMA_TESTS_OUTCOME_MATCHERS_H_

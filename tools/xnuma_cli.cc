@@ -17,8 +17,6 @@
 
 #include "src/common/flags.h"
 #include "src/core/experiment.h"
-#include "src/exec/dispatcher.h"
-#include "src/exec/worker_proto.h"
 #include "src/obs/obs.h"
 #include "src/sim/trace.h"
 #include "src/workload/app_profile.h"
@@ -41,11 +39,6 @@ int Usage() {
                "  options: --seconds N --threads N --seed N --csv --trace FILE.csv\n"
                "           --jobs N   (sweep: fan the policy matrix across N worker\n"
                "            threads; results are bit-identical to --jobs 1)\n"
-               "           --procs N  (sweep: fan the policy matrix across N worker\n"
-               "            *processes* via the crash-tolerant dispatcher; results\n"
-               "            are bit-identical to in-process execution)\n"
-               "           --proc_retries N --proc_deadline SECONDS  (dispatcher\n"
-               "            retry budget per run and per-run kill deadline)\n"
                "           --fault_rate P --fault_seed N  (seeded chaos injection)\n"
                "           --p2m_max_order 4k|2m|1g  (largest native P2M page\n"
                "            order; 4k is the plain extent store)\n"
@@ -103,7 +96,6 @@ RunOptions LoadOptions(const Flags& flags) {
   opts.threads = static_cast<int>(flags.GetInt("threads", 48));
   opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   opts.jobs = static_cast<int>(flags.GetInt("jobs", 1));
-  opts.procs = static_cast<int>(flags.GetInt("procs", 0));
   const double fault_rate = flags.GetDouble("fault_rate", 0.0);
   const uint64_t fault_seed = static_cast<uint64_t>(flags.GetInt("fault_seed", 1));
   if (fault_rate > 0.0) {
@@ -271,12 +263,9 @@ int CmdSweep(const Flags& flags) {
       WithP2mOptions(stack_name == "linux" ? LinuxStack() : XenPlusStack(), flags), flags);
   const auto candidates =
       stack_name == "linux" ? LinuxPolicyCandidates() : XenPolicyCandidates();
-  Dispatcher::Options dispatch;
-  dispatch.retry_budget = static_cast<int>(flags.GetInt("proc_retries", 2));
-  dispatch.deadline_seconds = flags.GetDouble("proc_deadline", 300.0);
-  // Routed through the multi-process dispatcher when --procs > 0; results
-  // are bit-identical either way (docs/MODEL.md §15).
-  const auto sweep = DispatchedSweepPolicies(app, base, candidates, LoadOptions(flags), dispatch);
+  // Fanned across --jobs threads; results are bit-identical for every value
+  // (docs/MODEL.md §12).
+  const auto sweep = SweepPolicies(app, base, candidates, LoadOptions(flags));
   for (const auto& entry : sweep) {
     PrintResult(flags, ToString(entry.policy), entry.result);
   }
@@ -374,13 +363,6 @@ int CmdAuto(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Self-exec worker mode for the multi-process dispatcher: `xnuma
-  // --worker` speaks the wire protocol over stdin/stdout and never parses
-  // normal commands.
-  const int worker_status = xnuma::MaybeWorkerMain(argc, argv);
-  if (worker_status >= 0) {
-    return worker_status;
-  }
   if (argc < 2) {
     return Usage();
   }
