@@ -154,7 +154,6 @@ struct P2mMemory {
   int64_t pages_per_job = 0;
   int64_t flat_bytes_per_job = 0;
   int64_t table_bytes_per_job = 0;  // averaged over the kJobs domains
-  int64_t tlb_bytes_per_job = 0;    // fixed per domain (vcpus x sets)
 };
 
 P2mMemory MeasureP2mMemory(const AppProfile& app, StaticPolicy placement, int epochs) {
@@ -193,31 +192,28 @@ P2mMemory MeasureP2mMemory(const AppProfile& app, StaticPolicy placement, int ep
   m.pages_per_job = pages + 64;
   m.flat_bytes_per_job = m.pages_per_job * 8;
   int64_t table = 0;
-  int64_t tlb = 0;
   for (DomainId d : doms) {
     table += hv.domain(d).p2m().MemoryBytes();
-    tlb += hv.domain(d).p2m().TlbBytes();
   }
   m.table_bytes_per_job = table / kJobs;
-  m.tlb_bytes_per_job = tlb / kJobs;
   return m;
 }
 
 // --- Page-order ladder (docs/MODEL.md §14) --------------------------------
 //
 // A big round-1G-placed domain at real 4 KiB page geometry (2M = 512 pages,
-// 1G = 262144), measured directly on a P2mTable at each max order. The
-// per-page LookupRun sweep models guest translation traffic: one native 1G
-// entry serves its whole 256K-page span from a single cache fill, so both
-// the miss count and the mapping-store footprint must collapse as the max
-// order grows. tools/run_bench.sh gates the 1G-vs-4K ratios at >= 5x and
-// ratchets them in tools/bench_ratchet.json; the numbers are deterministic
-// (counts and bytes, not wall time).
+// 1G = 262144), measured directly on a P2mTable at each max order. A
+// run-by-run LookupRun sweep over the whole domain counts the walks it
+// takes: one native 1G entry answers its whole 256K-page span in one walk,
+// where the 4K store needs one per 512-page chunk, so both the walk count
+// and the mapping-store footprint must collapse as the max order grows.
+// tools/run_bench.sh gates the 1G-vs-4K ratios at >= 5x and ratchets them
+// in tools/bench_ratchet.json; the numbers are deterministic (counts and
+// bytes, not wall time).
 
 struct P2mOrderStats {
   int64_t pages = 0;
-  int64_t sweep_misses = 0;
-  int64_t sweep_hits = 0;
+  int64_t sweep_walks = 0;
   int64_t table_bytes = 0;
   int64_t sp_2m = 0;
   int64_t sp_1g = 0;
@@ -229,27 +225,22 @@ P2mOrderStats MeasureP2mOrder(PageOrder max_order) {
   constexpr int64_t kPagesPer1g = 262144;
   P2mTable p2m(kOrderPages);
   p2m.ConfigureOrders(max_order, kPagesPer2m, kPagesPer1g);
-  p2m.ConfigureTlb(kThreads);
   // Round-1G placement: each 1 GiB region is one contiguous machine run,
   // regions deliberately non-adjacent (different nodes' frame pools).
   for (int64_t r = 0; r < kOrderPages / kPagesPer1g; ++r) {
     p2m.MapRange(r * kPagesPer1g, kPagesPer1g, (2 * r + 1) * kPagesPer1g);
   }
-  p2m.InvalidateTlb();
   P2mOrderStats st;
   st.pages = kOrderPages;
-  const int64_t h0 = p2m.tlb_hits();
-  const int64_t m0 = p2m.tlb_misses();
-  for (Pfn p = 0; p < kOrderPages; ++p) {
-    const P2mTable::Run run = p2m.LookupRun(p, static_cast<int32_t>(p & 3));
+  for (Pfn p = 0; p < kOrderPages; ++st.sweep_walks) {
+    const P2mTable::Run run = p2m.LookupRun(p);
     if (!run.valid) {
       std::fprintf(stderr, "p2m_order: unmapped page %lld\n",
                    static_cast<long long>(p));
       std::exit(1);
     }
+    p = run.first + run.count;
   }
-  st.sweep_hits = p2m.tlb_hits() - h0;
-  st.sweep_misses = p2m.tlb_misses() - m0;
   st.table_bytes = p2m.MemoryBytes();
   st.sp_2m = p2m.SuperpageCount(PageOrder::k2M);
   st.sp_1g = p2m.SuperpageCount(PageOrder::k1G);
@@ -477,8 +468,6 @@ int main() {
                   static_cast<long long>(init.pages_per_job));
       std::printf("     \"flat_bytes_per_job\": %lld,\n",
                   static_cast<long long>(init.flat_bytes_per_job));
-      std::printf("     \"tlb_bytes_per_job\": %lld,\n",
-                  static_cast<long long>(init.tlb_bytes_per_job));
       std::printf("     \"post_init_bytes_per_job\": %lld,\n",
                   static_cast<long long>(init.table_bytes_per_job));
       std::printf("     \"post_init_ratio\": %.4f,\n",
@@ -492,8 +481,8 @@ int main() {
   }
   std::printf("\n  ],\n");
 
-  // Page-order ladder: translation-cache misses and mapping-store bytes for
-  // a 16 GiB round-1G domain at each max order (deterministic counts).
+  // Page-order ladder: run walks per sweep and mapping-store bytes for a
+  // 16 GiB round-1G domain at each max order (deterministic counts).
   std::printf("  \"p2m_order\": [\n");
   const struct {
     const char* name;
@@ -513,23 +502,20 @@ int main() {
       std::printf(",\n");
     }
     first = false;
-    const double lookups = static_cast<double>(st.sweep_hits + st.sweep_misses);
     std::printf("    {\"name\": \"%s\", \"pages\": %lld,\n", o.name,
                 static_cast<long long>(st.pages));
     std::printf("     \"superpages_2m\": %lld, \"superpages_1g\": %lld,\n",
                 static_cast<long long>(st.sp_2m), static_cast<long long>(st.sp_1g));
-    std::printf("     \"sweep_misses\": %lld,\n", static_cast<long long>(st.sweep_misses));
-    std::printf("     \"sweep_hit_rate\": %.6f,\n",
-                lookups > 0.0 ? st.sweep_hits / lookups : 0.0);
+    std::printf("     \"sweep_walks\": %lld,\n", static_cast<long long>(st.sweep_walks));
     std::printf("     \"table_bytes\": %lld,\n", static_cast<long long>(st.table_bytes));
     std::printf("     \"bytes_per_page\": %.6f}",
                 static_cast<double>(st.table_bytes) / st.pages);
     std::fflush(stdout);
   }
   std::printf("\n  ],\n");
-  std::printf("  \"p2m_order_miss_ratio_1g_vs_4k\": %.2f,\n",
-              top_1g.sweep_misses > 0
-                  ? static_cast<double>(base_4k.sweep_misses) / top_1g.sweep_misses
+  std::printf("  \"p2m_order_walk_ratio_1g_vs_4k\": %.2f,\n",
+              top_1g.sweep_walks > 0
+                  ? static_cast<double>(base_4k.sweep_walks) / top_1g.sweep_walks
                   : 0.0);
   std::printf("  \"p2m_order_mem_ratio_1g_vs_4k\": %.2f,\n",
               top_1g.table_bytes > 0

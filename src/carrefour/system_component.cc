@@ -20,8 +20,7 @@ std::vector<PageAccessSample> CarrefourSystemComponent::ReadHotPages(DomainId do
   XNUMA_TRACE_SCOPE(obs_, "carrefour_scan", "carrefour", scan_seconds_);
   std::vector<PageAccessSample> samples;
   sampler_->SampleHotPages(domain, max_pages, &samples);
-  // Resolve through the TLB-fronted run lookup: hot pages cluster, so one
-  // cached run answers many samples.
+  // Resolve each sample's current node with one P2M run walk.
   const HvPlacementBackend& be = hv_->backend(domain);
   for (PageAccessSample& s : samples) {
     const HvPlacementBackend::PlacementRun run = be.NodeOfRange(s.pfn);

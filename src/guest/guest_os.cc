@@ -321,7 +321,7 @@ void GuestOs::TouchRange(int pid, Vpn first, int64_t count, CpuId cpu,
         pfn >= run.first && pfn < run.first + run.count) {
       mapped = run.mapped;
     } else {
-      run = be.NodeOfRange(pfn, cpu);
+      run = be.NodeOfRange(pfn, vcpu);
       run_gen = be.placement_generation();
       run_cached = true;
       mapped = run.mapped;

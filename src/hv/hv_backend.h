@@ -32,7 +32,8 @@ class HvPlacementBackend : public PlacementBackend {
   // node == kInvalidNode) or all backed by machine frames of `node`. One
   // P2M run lookup plus one node resolution covers the whole run — callers
   // iterating a region visit each extent once instead of each page.
-  // `vcpu` selects the P2M TLB context.
+  // `vcpu` is the walking vCPU's index: with P2M replication on, the walk
+  // re-stamps that vCPU's node's replica (P2mTable::LookupRun).
   struct PlacementRun {
     Pfn first = kInvalidPfn;
     int64_t count = 0;

@@ -302,7 +302,7 @@ DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
     dom->mutable_vcpus().push_back({v, pins[v]});
     ++cpu_reservations_[pins[v]];
   }
-  dom->p2m().ConfigureTlb(config.num_vcpus);
+  dom->p2m().ConfigureVcpus(config.num_vcpus);
   if (config.p2m_replication) {
     dom->p2m().EnableReplication(topo_->num_nodes(),
                                  dom->p2m().home_node());

@@ -9,15 +9,9 @@ namespace xnuma {
 
 namespace {
 // Process-wide default representation for newly constructed tables. The
-// XNUMA_P2M_REFERENCE compile flag (CMake option of the same name) builds a
-// binary whose every P2M is the per-page reference; the differential test
-// flips it at runtime instead so both representations live in one process.
-bool g_reference_mode =
-#ifdef XNUMA_P2M_REFERENCE
-    true;
-#else
-    false;
-#endif
+// differential tests flip it at runtime so both representations live in one
+// process.
+bool g_reference_mode = false;
 
 bool IsPow2(int64_t v) { return v > 0 && (v & (v - 1)) == 0; }
 
@@ -43,7 +37,7 @@ P2mTable::P2mTable(int64_t num_pages) : reference_(g_reference_mode) {
     }
     packed_chunk_count_ = static_cast<int64_t>(chunks_.size());
   }
-  ConfigureTlb(1);
+  ConfigureVcpus(1);
 }
 
 void P2mTable::ConfigureOrders(PageOrder max_order, int64_t pages_per_2m,
@@ -282,11 +276,7 @@ void P2mTable::EnableReplication(int num_nodes, int home_node) {
   repl_nodes_ = num_nodes;
   replicas_.clear();
   replicas_.resize(num_nodes);
-  repl_epochs_ = std::make_unique<std::atomic<uint32_t>[]>(num_nodes);
-  for (int n = 0; n < num_nodes; ++n) {
-    repl_epochs_[n].store(0, std::memory_order_relaxed);
-  }
-  vcpu_nodes_.assign(tlb_contexts_, home_node_);
+  std::fill(vcpu_nodes_.begin(), vcpu_nodes_.end(), home_node_);
   if (repl_gauge_ != nullptr) {
     repl_gauge_->Set(0.0);
   }
@@ -296,7 +286,6 @@ void P2mTable::DisableReplication() {
   repl_enabled_ = false;
   repl_nodes_ = 0;
   std::vector<std::unique_ptr<Replica>>().swap(replicas_);
-  repl_epochs_.reset();
   if (repl_gauge_ != nullptr) {
     repl_gauge_->Set(0.0);
   }
@@ -317,13 +306,14 @@ P2mTable::Replica& P2mTable::EnsureReplica(int node) {
   return *slot;
 }
 
+void P2mTable::ConfigureVcpus(int num_vcpus) {
+  vcpu_nodes_.assign(std::max(1, num_vcpus), home_node_);
+}
+
 void P2mTable::SetVcpuNode(int32_t vcpu, int node) {
   XNUMA_CHECK(node >= 0);
-  const int ctx = vcpu >= 0 ? static_cast<int>(vcpu % tlb_contexts_) : 0;
-  if (static_cast<size_t>(ctx) >= vcpu_nodes_.size()) {
-    vcpu_nodes_.resize(tlb_contexts_, home_node_);
-  }
-  vcpu_nodes_[ctx] = node;
+  XNUMA_CHECK(vcpu >= 0 && static_cast<size_t>(vcpu) < vcpu_nodes_.size());
+  vcpu_nodes_[vcpu] = node;
   if (repl_enabled_ && node != home_node_ && node < repl_nodes_) {
     EnsureReplica(node);
   }
@@ -355,9 +345,6 @@ void P2mTable::InvalidateReplicas(int node) {
     r->sp_stamp.store(kStampEmpty, std::memory_order_relaxed);
     r->valid_chunks.store(0, std::memory_order_relaxed);
   }
-  // Release-publish the drop: a walk that acquires the new epoch also
-  // observes the cleared stamps above (docs/MODEL.md §18).
-  repl_epochs_[node].fetch_add(1, std::memory_order_release);
   ++repl_invalidations_;
   if (repl_invalidation_metric_ != nullptr) {
     repl_invalidation_metric_->Increment();
@@ -777,7 +764,6 @@ void P2mTable::Remap(Pfn pfn, Mfn new_mfn) {
 void P2mTable::set_observability(Observability* obs) {
   if (obs == nullptr) {
     remap_count_ = remap_race_count_ = split_metric_ = promote_metric_ = nullptr;
-    tlb_hit_metric_ = tlb_miss_metric_ = nullptr;
     extent_gauge_ = nullptr;
     order_gauges_[0] = order_gauges_[1] = order_gauges_[2] = nullptr;
     repl_gauge_ = nullptr;
@@ -808,10 +794,6 @@ void P2mTable::set_observability(Observability* obs) {
   order_gauges_[2] = m.RegisterGauge(
       "p2m.order_pages_1g", "pages",
       "Pages covered by 1G superpage entries in the last-mutated P2M table");
-  tlb_hit_metric_ = m.RegisterCounter(
-      "tlb.hits", "lookups", "P2M run lookups served from the per-vCPU TLB");
-  tlb_miss_metric_ = m.RegisterCounter(
-      "tlb.misses", "lookups", "P2M run lookups that walked the extent table");
   repl_gauge_ = m.RegisterGauge(
       "p2m.repl.replicas", "replicas",
       "Live per-node P2M replicas in the last-configured table (home excluded)");
@@ -1396,107 +1378,34 @@ P2mTable::Run P2mTable::ResolveRun(Pfn pfn, int8_t* kind, int64_t* id) const {
 
 P2mTable::Run P2mTable::LookupRun(Pfn pfn, int32_t vcpu) const {
   CheckRange(pfn, 1);
-  const int64_t ci = pfn >> kChunkShift;
-  if (tlb_.empty()) {
-    // Reference-mode tables have no TLB: resolve directly.
-    int8_t kind = 0;
-    int64_t id = 0;
-    return ResolveRun(pfn, &kind, &id);
-  }
-  // Callers may pass a pCPU id rather than a vCPU index; fold it onto the
-  // configured contexts so co-scheduled lookups still get distinct sets.
-  const int ctx = vcpu >= 0 ? static_cast<int>(vcpu % tlb_contexts_) : 0;
-  TlbEntry* set_base = &tlb_[static_cast<size_t>(ctx) * kTlbSets];
-  // The node this walk runs from and its replica epoch: a wholesale replica
-  // invalidation bumps the epoch, failing the compares below for exactly
-  // the vCPUs walking from that node. Both stay 0 == 0 while replication is
-  // off, keeping the off path bit-identical.
-  int walk_node = home_node_;
-  uint32_t repl_epoch = 0;
-  if (repl_enabled_) {
-    walk_node = vcpu_nodes_[ctx];
-    repl_epoch = repl_epochs_[walk_node].load(std::memory_order_acquire);
-  }
-  if (sp_enabled_) {
-    // A superpage run lives in the set its slot index hashes to; probe the
-    // candidate set of each enabled order before the chunk set.
-    for (int l = kNumSpLevels - 1; l >= 0; --l) {
-      const SpLevel& s = sp_[l];
-      if (s.span == 0) {
-        continue;
-      }
-      const int64_t slot = pfn >> s.shift;
-      const TlbEntry& t = set_base[slot & (kTlbSets - 1)];
-      if (t.kind == l + 1 && t.id == slot && t.gen == sp_gen_ &&
-          t.epoch == tlb_epoch_ && t.repl_epoch == repl_epoch &&
-          pfn >= t.run.first && pfn < t.run.first + t.run.count) {
-        tlb_hits_.v.fetch_add(1, std::memory_order_relaxed);
-        if (tlb_hit_metric_ != nullptr) {
-          tlb_hit_metric_->Increment();
-        }
-        return t.run;
-      }
-    }
-  }
-  const Chunk* c = chunks_[ci].get();
-  const uint32_t chunk_gen = c != nullptr ? c->gen : 0;
-  TlbEntry& t = set_base[ci & (kTlbSets - 1)];
-  if (t.kind == 0 && t.id == ci && t.gen == chunk_gen && t.sp_gen == sp_gen_ &&
-      t.epoch == tlb_epoch_ && t.repl_epoch == repl_epoch &&
-      pfn >= t.run.first && pfn < t.run.first + t.run.count) {
-    tlb_hits_.v.fetch_add(1, std::memory_order_relaxed);
-    if (tlb_hit_metric_ != nullptr) {
-      tlb_hit_metric_->Increment();
-    }
-    return t.run;
-  }
-  tlb_misses_.v.fetch_add(1, std::memory_order_relaxed);
-  if (tlb_miss_metric_ != nullptr) {
-    tlb_miss_metric_->Increment();
-  }
   int8_t kind = 0;
   int64_t id = 0;
   const Run run = ResolveRun(pfn, &kind, &id);
-  if (repl_enabled_ && walk_node != home_node_) {
-    // The miss walked the master table; re-copy what it resolved into the
-    // walking node's replica (Mitosis' walk-driven fill). Only an already-
-    // instantiated replica is stamped — a const lookup never allocates.
-    Replica* r = replicas_[walk_node].get();
-    if (r != nullptr) {
-      if (kind == 0) {
-        if (r->stamps[id].exchange(chunk_gen, std::memory_order_relaxed) !=
-            chunk_gen) {
-          r->valid_chunks.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else {
-        r->sp_stamp.store(sp_gen_, std::memory_order_relaxed);
+  if (!repl_enabled_) {
+    return run;
+  }
+  const size_t v = vcpu >= 0 ? static_cast<size_t>(vcpu) : 0;
+  XNUMA_CHECK(v < vcpu_nodes_.size());
+  const int walk_node = vcpu_nodes_[v];
+  if (walk_node == home_node_) {
+    return run;
+  }
+  // The walk read the master table; re-copy what it resolved into the
+  // walking node's replica (Mitosis' walk-driven fill). Only an already-
+  // instantiated replica is stamped — a const lookup never allocates.
+  Replica* r = replicas_[walk_node].get();
+  if (r != nullptr) {
+    if (kind == 0) {
+      const Chunk* c = chunks_[id].get();
+      const uint32_t gen = c != nullptr ? c->gen : 0;
+      if (r->stamps[id].exchange(gen, std::memory_order_relaxed) != gen) {
+        r->valid_chunks.fetch_add(1, std::memory_order_relaxed);
       }
+    } else {
+      r->sp_stamp.store(sp_gen_, std::memory_order_relaxed);
     }
   }
-  TlbEntry& victim = set_base[id & (kTlbSets - 1)];
-  victim.id = id;
-  victim.kind = kind;
-  victim.gen = kind == 0 ? chunk_gen : sp_gen_;
-  victim.sp_gen = sp_gen_;
-  victim.epoch = tlb_epoch_;
-  victim.repl_epoch = repl_epoch;
-  victim.run = run;
   return run;
-}
-
-void P2mTable::ConfigureTlb(int num_vcpus) {
-  tlb_contexts_ = std::max(1, num_vcpus);
-  if (!reference_) {  // reference tables bypass the TLB, so they own none
-    tlb_.assign(static_cast<size_t>(tlb_contexts_) * kTlbSets, TlbEntry{});
-  }
-  vcpu_nodes_.assign(tlb_contexts_, home_node_);
-}
-
-void P2mTable::InvalidateTlb() const {
-  // Entries from older epochs fail the epoch compare; a wrap after 2^32
-  // epochs can only re-admit an entry whose generation stamp still matches,
-  // which is by definition still coherent.
-  ++tlb_epoch_;
 }
 
 // ---- Accounting ----------------------------------------------------------
@@ -1523,12 +1432,7 @@ int64_t P2mTable::MemoryBytes() const {
     bytes += static_cast<int64_t>(rp->stamps.capacity() *
                                   sizeof(std::atomic<uint32_t>));
   }
-  bytes += static_cast<int64_t>(repl_nodes_) * sizeof(std::atomic<uint32_t>);
   return bytes;
-}
-
-int64_t P2mTable::TlbBytes() const {
-  return static_cast<int64_t>(tlb_.capacity() * sizeof(TlbEntry));
 }
 
 void P2mTable::AuditCounters() const {

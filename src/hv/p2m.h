@@ -34,12 +34,8 @@
 //
 // The per-page API (Map/Unmap/Lookup/...) is a thin compatibility shim over
 // this store; range operations (MapRange/UnmapRange/...) and the run lookup
-// (LookupRun) amortise one descent over whole extents. A small direct-mapped
-// per-vCPU TLB caches resolved runs in front of LookupRun; a cached chunk
-// run is validated against a per-chunk generation stamp, a cached superpage
-// run against the table-wide superpage generation, so one cache entry covers
-// a whole 2M/1G span and mutating one chunk invalidates only that chunk's
-// cached runs.
+// (LookupRun) amortise one descent over whole extents, so a run-by-run walk
+// costs one descent per run and one superpage run covers a whole 2M/1G span.
 
 #ifndef XENNUMA_SRC_HV_P2M_H_
 #define XENNUMA_SRC_HV_P2M_H_
@@ -124,11 +120,12 @@ class P2mTable {
     return (e & 1) != 0 ? static_cast<Mfn>(e >> 2) : kInvalidMfn;
   }
 
-  // Resolves the maximal run containing `pfn` (see Run). `vcpu` selects the
-  // per-vCPU TLB context (ids fold modulo the configured context count;
-  // negative ids share context 0). The returned run is a snapshot: any
-  // mutation of its chunk (or, for superpage runs, any superpage mutation)
-  // invalidates it.
+  // Resolves the maximal run containing `pfn` (see Run) by walking the
+  // master table. `vcpu` is the walking vCPU's index (negative ids walk as
+  // vCPU 0); with replication on, a walk from a node other than the home
+  // node re-stamps what it resolved on that node's replica. The returned run
+  // is a snapshot: any mutation of its chunk (or, for superpage runs, any
+  // superpage mutation) invalidates it.
   Run LookupRun(Pfn pfn, int32_t vcpu = 0) const;
 
   // Installs a mapping; the entry must currently be invalid.
@@ -153,9 +150,9 @@ class P2mTable {
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
 
   // Optional metrics (p2m.remaps, p2m.remap_races, p2m.extents, p2m.splits,
-  // p2m.promotions, p2m.order_pages_{4k,2m,1g}, tlb.hits, tlb.misses,
-  // p2m.repl.{replicas,invalidations,local_walks,remote_walks}).
-  // nullptr detaches.
+  // p2m.promotions, p2m.order_pages_{4k,2m,1g},
+  // p2m.repl.{replicas,invalidations,local_walks,remote_walks}). nullptr
+  // detaches.
   void set_observability(Observability* obs);
 
   // Drops a valid mapping; returns the machine frame that backed it.
@@ -177,27 +174,6 @@ class P2mTable {
 
   int64_t valid_count() const { return valid_count_; }
 
-  // ---- Translation cache ----------------------------------------------
-
-  // Sizes the TLB for `num_vcpus` contexts (one direct-mapped set of
-  // kTlbSets runs each) and drops all cached runs. Called at domain
-  // creation; a freshly constructed table has one context. Reference-mode
-  // tables, which bypass the TLB, allocate none.
-  void ConfigureTlb(int num_vcpus);
-
-  // Drops every cached run in every context (O(1): bumps the epoch stamp
-  // entries must match). The engine calls this once per epoch to bound
-  // staleness; per-chunk/superpage generation stamps already handle
-  // correctness for intra-epoch mutations.
-  void InvalidateTlb() const;
-
-  int64_t tlb_hits() const {
-    return tlb_hits_.v.load(std::memory_order_relaxed);
-  }
-  int64_t tlb_misses() const {
-    return tlb_misses_.v.load(std::memory_order_relaxed);
-  }
-
   // ---- Per-node replication (docs/MODEL.md §18) ------------------------
   //
   // Mitosis-style replication of the translation structure itself: each
@@ -208,7 +184,7 @@ class P2mTable {
   // Every master mutator (per-page ops, range ops, splits, promotions)
   // invalidates the touched chunk's copy on every replica (write-fault-
   // driven copy invalidation); a walk from a node lazily re-copies the
-  // chunk it resolved (the miss path stamps the walking node's replica).
+  // chunk it resolved (LookupRun stamps the walking node's replica).
   // With replication disabled every query below degenerates to the
   // single-home answer and the table is bit-identical to a build without
   // this feature.
@@ -219,6 +195,11 @@ class P2mTable {
   void SetHomeNode(int node) { home_node_ = node; }
   int home_node() const { return home_node_; }
 
+  // Sizes the vCPU→node table for `num_vcpus` vCPUs, every one on the home
+  // node. Called at domain creation; a freshly constructed table has one
+  // vCPU.
+  void ConfigureVcpus(int num_vcpus);
+
   // Turns replication on for a machine with `num_nodes` nodes. Replicas
   // are not allocated here — SetVcpuNode/FillReplica instantiate a node's
   // replica the first time a vCPU actually walks from it.
@@ -227,9 +208,9 @@ class P2mTable {
   void DisableReplication();
   bool replication_enabled() const { return repl_enabled_; }
 
-  // Records that `vcpu` now runs on `node`: its TLB context validates
-  // against that node's replica generation from here on, and the node's
-  // replica is instantiated if it does not exist yet.
+  // Records that `vcpu` now runs on `node`: its walks stamp that node's
+  // replica from here on, and the node's replica is instantiated if it does
+  // not exist yet.
   void SetVcpuNode(int32_t vcpu, int node);
 
   // Copies the whole master table into `node`'s replica (instantiating it
@@ -239,9 +220,9 @@ class P2mTable {
   // off.
   void FillReplica(int node);
 
-  // Invalidates `node`'s replica wholesale and bumps the node's replica
-  // epoch, dropping every cached run of every vCPU walking from that node
-  // (release ordering against concurrent walks; see docs/MODEL.md §18).
+  // Invalidates `node`'s replica wholesale: every chunk and superpage stamp
+  // goes empty, so the next walk from that node is remote and re-stamps
+  // what it resolves (docs/MODEL.md §18).
   void InvalidateReplicas(int node);
 
   // Fraction of the translation structure a walk from `node` finds
@@ -272,11 +253,9 @@ class P2mTable {
   // Chunks currently in packed per-page representation.
   int64_t packed_chunk_count() const { return packed_chunk_count_; }
   // Approximate heap footprint of the mapping store (chunk headers +
-  // extent vectors + packed entries + superpage arrays), for the
-  // sub-linear-growth evidence in the bench. The TLB is a fixed-size
-  // per-domain cache, reported separately so it does not drown small tables.
+  // extent vectors + packed entries + superpage arrays + replica stamps),
+  // for the sub-linear-growth evidence in the bench.
   int64_t MemoryBytes() const;
-  int64_t TlbBytes() const;
 
   // Recomputes every derived counter (valid_count, extent_count,
   // packed_chunk_count, superpage presence, order histogram) from the raw
@@ -291,10 +270,8 @@ class P2mTable {
 
   // Forces tables constructed afterwards into the per-page reference
   // representation: every chunk packed from birth, no extent compression,
-  // no superpage orders, TLB bypassed. The differential test runs each
-  // policy under both representations and requires bit-identical results.
-  // Compiling with -DXNUMA_P2M_REFERENCE (CMake option XNUMA_P2M_REFERENCE)
-  // makes this the process default.
+  // no superpage orders. The differential test runs each policy under both
+  // representations and requires bit-identical results.
   static void SetReferenceModeForTest(bool on);
   bool reference_mode() const { return reference_; }
 
@@ -305,7 +282,6 @@ class P2mTable {
   // produces anti-contiguous singletons); packed entries are smaller and
   // O(1) to mutate.
   static constexpr int kPackThreshold = 64;
-  static constexpr int kTlbSets = 64;
 
  private:
   // One run of contiguous mappings inside a chunk. `first`/`count` are
@@ -326,7 +302,7 @@ class P2mTable {
     // (mfn << 2) | (writable << 1) | valid, 0 == invalid; `extents` empty.
     std::vector<Extent> extents;
     std::vector<uint64_t> packed;
-    // Bumped on every mutation; TLB entries snapshot it.
+    // Bumped on every mutation; replica stamps snapshot it.
     uint32_t gen = 0;
     // Pages this chunk spans (kChunkPages except a trailing partial chunk).
     int32_t cpages = 0;
@@ -343,33 +319,14 @@ class P2mTable {
   };
   static constexpr int kNumSpLevels = 2;  // [0] = 2M, [1] = 1G
 
-  struct TlbEntry {
-    // Chunk index for a 4K-level run, superpage slot index for a superpage
-    // run; `kind` (0 = chunk, 1 = 2M, 2 = 1G) disambiguates the namespaces.
-    int64_t id = -1;
-    int8_t kind = 0;
-    // Chunk generation for 4K runs, superpage generation for superpage runs.
-    uint32_t gen = 0;
-    // Superpage generation snapshot for 4K runs: a superpage installed over
-    // a cached invalid chunk run must invalidate it even though no chunk
-    // was touched. Always 0 == 0 while orders are off.
-    uint32_t sp_gen = 0;
-    uint32_t epoch = 0;
-    // Replica epoch of the node the filling vCPU walked from: invalidating
-    // that node's replica must drop the run even though the master table —
-    // and so every generation above — is unchanged. Always 0 == 0 while
-    // replication is off.
-    uint32_t repl_epoch = 0;
-    Run run;
-  };
-
   // Per-node copy of the translation structure. `stamps[ci]` equal to
   // chunk ci's current generation means this node holds a current copy of
   // that chunk (kStampEmpty = never copied / invalidated); `sp_stamp`
   // plays the same role for the superpage layer against sp_gen_. The
   // counters are atomic because walks re-stamp their node's replica from
   // a const lookup while InvalidateReplicas may run concurrently (the
-  // repl-tsan race test); the engine itself is single-threaded per table.
+  // `repl`-labelled race test); the engine itself is single-threaded per
+  // table.
   struct Replica {
     explicit Replica(int64_t num_chunks) : stamps(num_chunks) {}
     std::vector<std::atomic<uint32_t>> stamps;
@@ -416,8 +373,8 @@ class P2mTable {
   // stays consistent across split/promote cycles.
   void MaybeShrink(Chunk& c);
   void TouchChunk(int64_t chunk_idx, Chunk& c);
-  // Bumps the superpage generation (invalidating every cached run) and
-  // refreshes the order-histogram gauges.
+  // Bumps the superpage generation (staling every replica's superpage
+  // stamp) and refreshes the order-histogram gauges.
   void TouchSp();
   // Instantiates `node`'s replica (stamps all-empty) if absent.
   Replica& EnsureReplica(int node);
@@ -431,7 +388,7 @@ class P2mTable {
   // (superpage installs do not touch chunk state, so chunk-derived invalid
   // runs may span pages a superpage maps).
   void ClipInvalidRun(Pfn pfn, Run* r) const;
-  // Resolves a run without the TLB; reports which store produced it
+  // Resolves the run containing `pfn`; reports which store produced it
   // (kind 0 = chunk, 1/2 = superpage level) and the store index.
   Run ResolveRun(Pfn pfn, int8_t* kind, int64_t* id) const;
   // XNUMA_CHECKs that [first, first+count) is wholly invalid (chunks and
@@ -470,39 +427,13 @@ class P2mTable {
   int64_t promotion_count_ = 0;
   int64_t superpage_split_count_ = 0;
 
-  // std::atomic is not movable but the table is (tests build one and
-  // return it by value); moves only happen during single-threaded setup,
-  // so a relaxed transfer of the value is safe.
-  struct MovableCounter {
-    MovableCounter() = default;
-    MovableCounter(MovableCounter&& o) noexcept
-        : v(o.v.load(std::memory_order_relaxed)) {}
-    MovableCounter& operator=(MovableCounter&& o) noexcept {
-      v.store(o.v.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      return *this;
-    }
-    std::atomic<int64_t> v{0};
-  };
-
-  // The simulator drives each domain's table from one machine thread, so
-  // the TLB and its stats may be mutable state behind const lookups. The
-  // hit/miss totals are atomic because the repl race test shares one table
-  // between reader threads (each on its own TLB context).
-  mutable std::vector<TlbEntry> tlb_;
-  mutable uint32_t tlb_epoch_ = 0;
-  int tlb_contexts_ = 1;
-  mutable MovableCounter tlb_hits_;
-  mutable MovableCounter tlb_misses_;
-
   // Replication state (all inert while repl_enabled_ is false). replicas_
-  // is mutable for the same reason as the TLB: a const walk re-stamps the
-  // walking node's replica.
+  // is mutable because a const walk re-stamps the walking node's replica.
   bool repl_enabled_ = false;
   int home_node_ = 0;
   int repl_nodes_ = 0;
   mutable std::vector<std::unique_ptr<Replica>> replicas_;
-  std::unique_ptr<std::atomic<uint32_t>[]> repl_epochs_;  // one per node
-  std::vector<int> vcpu_nodes_;
+  std::vector<int> vcpu_nodes_;  // node each vCPU walks from
   int64_t repl_invalidations_ = 0;
   int64_t repl_local_walks_ = 0;
   int64_t repl_remote_walks_ = 0;
@@ -514,8 +445,6 @@ class P2mTable {
   Counter* promote_metric_ = nullptr;
   Gauge* extent_gauge_ = nullptr;
   Gauge* order_gauges_[3] = {nullptr, nullptr, nullptr};  // 4K, 2M, 1G pages
-  mutable Counter* tlb_hit_metric_ = nullptr;
-  mutable Counter* tlb_miss_metric_ = nullptr;
   Gauge* repl_gauge_ = nullptr;
   Counter* repl_invalidation_metric_ = nullptr;
   Counter* repl_local_metric_ = nullptr;

@@ -323,9 +323,6 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
     refresh_seconds_ = m.RegisterHistogram(
         "engine.placement.refresh_seconds", "s",
         "Wall-clock cost of one epoch's placement refresh phase");
-    tlb_invalidate_seconds_ = m.RegisterHistogram(
-        "engine.phase.tlb_invalidate_seconds", "s",
-        "Wall-clock cost of one epoch's P2M TLB invalidation over every domain");
     allocator_churn_seconds_ = m.RegisterHistogram(
         "engine.phase.allocator_churn_seconds", "s",
         "Wall-clock cost of one job's sampled allocator churn in one epoch");
@@ -1576,18 +1573,6 @@ RunResult Engine::Run() {
 
     if (obs_ != nullptr) {
       obs_->tracer().set_sim_time(now);
-    }
-    // Epoch boundary: drop every cached P2M run (per-chunk generations keep
-    // intra-epoch lookups coherent; this bounds cross-epoch staleness).
-    // Destroyed domains are skipped: a tombstone has no table at all, so
-    // the loop's cost follows the live tenants.
-    {
-      XNUMA_TRACE_SCOPE(obs_, "tlb_invalidate", "engine", tlb_invalidate_seconds_);
-      for (DomainId d = 0; d < hv_->num_domains(); ++d) {
-        if (hv_->DomainAlive(d)) {
-          hv_->domain(d).p2m().InvalidateTlb();
-        }
-      }
     }
     {
       XNUMA_TRACE_SCOPE(obs_, "placement_refresh", "engine", refresh_seconds_);

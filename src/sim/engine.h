@@ -414,7 +414,6 @@ class Engine : public PageAccessSource {
   Counter* solver_exit_two_cycle_ = nullptr;
   Counter* solver_exit_cap_ = nullptr;
   Histogram* refresh_seconds_ = nullptr;
-  Histogram* tlb_invalidate_seconds_ = nullptr;
   Histogram* allocator_churn_seconds_ = nullptr;
   Gauge* max_mc_util_gauge_ = nullptr;
   Gauge* max_link_util_gauge_ = nullptr;

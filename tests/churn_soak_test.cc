@@ -36,10 +36,10 @@ ChurnSpec SoakSpec() {
   return spec;
 }
 
-// A fresh, never-mapped table: one TLB context plus its chunk-pointer array.
+// A fresh, never-mapped table: the table object plus its chunk-pointer array.
 int64_t FreshFootprint(int64_t num_pages) {
   const P2mTable fresh(num_pages);
-  return fresh.MemoryBytes() + fresh.TlbBytes();
+  return fresh.MemoryBytes();
 }
 
 // What a tombstone may keep (docs/MODEL.md §17, invariant 6): a few hundred
@@ -263,8 +263,8 @@ TEST(ChurnSoakTest, DestroyedDomainsRetainConstantStorage) {
   }
 }
 
-// Per-epoch upkeep — a promotion tick and a TLB flush of every table —
-// over a machine full of tombstones leaves the live placement untouched.
+// Per-epoch upkeep — a promotion tick over every table — over a machine
+// full of tombstones leaves the live placement untouched.
 TEST(ChurnSoakTest, EpochUpkeepOverTombstonesKeepsLivePlacement) {
   const Topology topo = SoakTopo();
   Hypervisor hv(topo);
@@ -277,11 +277,6 @@ TEST(ChurnSoakTest, EpochUpkeepOverTombstonesKeepsLivePlacement) {
 
   PromotionDaemon daemon(hv, PromotionDaemon::Config{});
   daemon.Tick();
-  for (DomainId id = 0; id < hv.num_domains(); ++id) {
-    if (hv.DomainAlive(id)) {
-      hv.domain(id).p2m().InvalidateTlb();
-    }
-  }
   EXPECT_EQ(runner.Run({}, tmpl).placement_digest, before);
   EXPECT_EQ(hv.num_live_domains(), live);
   for (DomainId id = 0; id < hv.num_domains(); ++id) {
@@ -377,11 +372,6 @@ TEST(ChurnSoakTest, TombstonesOfEveryShapeAreEmptyAndSmall) {
 
   PromotionDaemon daemon(hv, PromotionDaemon::Config{});
   daemon.Tick();
-  for (DomainId id = 0; id < hv.num_domains(); ++id) {
-    if (hv.DomainAlive(id)) {
-      hv.domain(id).p2m().InvalidateTlb();
-    }
-  }
   EXPECT_EQ(hv.num_live_domains(), 1);
   EXPECT_EQ(PlacementDigest(hv, live_id), survivor_before);
 }

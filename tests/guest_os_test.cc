@@ -52,6 +52,32 @@ TEST_F(GuestOsTest, EagerPolicyTakesNoHvFault) {
   EXPECT_NE(r.node, kInvalidNode);
 }
 
+// TouchRange walks the P2M as the touching vCPU. With replication on, the
+// walk-driven re-stamp must land on that vCPU's node, not on the node of
+// the vCPU whose index is the pCPU id modulo the vCPU count.
+TEST_F(GuestOsTest, TouchRangeRestampsTheTouchingVcpusNode) {
+  DomainConfig dc;
+  dc.num_vcpus = 4;
+  dc.memory_pages = 64;
+  dc.policy.placement = StaticPolicy::kRound4k;  // mapped before any touch
+  dc.pinned_cpus = {0, 6, 12, 18};               // nodes 0..3, home node 0
+  dc.p2m_replication = true;
+  const DomainId id = hv_.CreateDomain(dc);
+  const P2mTable& p2m = hv_.domain(id).p2m();
+  ASSERT_TRUE(p2m.replication_enabled());
+  ASSERT_EQ(p2m.ReplicaCoverage(2), 0.0);
+  ASSERT_EQ(p2m.ReplicaCoverage(3), 0.0);
+
+  // vCPU 3 touches from pCPU 18 (node 3); 18 % 4 names vCPU 2 (node 2).
+  GuestOs guest(hv_, id);
+  const int pid = guest.CreateProcess(16);
+  double cost = 0.0;
+  guest.TouchRange(pid, 0, 16, /*cpu=*/18, 1e-9, 1e-7, 1e-6, &cost, /*vcpu=*/3);
+  EXPECT_GT(p2m.ReplicaCoverage(3), 0.0);
+  EXPECT_EQ(p2m.ReplicaCoverage(2), 0.0);
+  EXPECT_EQ(guest.stats().guest_minor_faults, 16);
+}
+
 TEST_F(GuestOsTest, FreeListIsLifo) {
   const DomainId id = MakeDomain(StaticPolicy::kRound4k);
   GuestOs guest(hv_, id);

@@ -2,9 +2,9 @@
 // the per-page reference representation, for every placement policy.
 //
 // The extent table is a pure representation change — split/merge bookkeeping,
-// packed-chunk conversion, the range fast paths and the per-vCPU TLB must
-// never alter which frame a page maps to, which faults fire, or the order in
-// which floating-point costs accumulate. Each policy therefore runs the same
+// packed-chunk conversion and the range fast paths must never alter which
+// frame a page maps to, which faults fire, or the order in which
+// floating-point costs accumulate. Each policy therefore runs the same
 // seeded simulation twice, once per representation, and every field of the
 // result must match exactly. A fault-armed cell (uniform nonzero rates)
 // additionally drives the rollback paths: a MapRange that fails mid-flight

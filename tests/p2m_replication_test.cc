@@ -1,8 +1,8 @@
 // Unit and property tests for per-node P2M replication (docs/MODEL.md §18):
 // generation-stamp coverage accounting, write-fault-driven copy
-// invalidation, the per-vCPU TLB's replica-epoch clipping, superpage splits
-// under replication, domain teardown, and the invalidation-vs-walk race
-// (run under TSan by the `repl-tsan` preset).
+// invalidation, walk-driven re-stamping after a wholesale drop, superpage
+// splits under replication, domain teardown, and the invalidation-vs-walk
+// race (run under TSan by `ctest --preset tsan -L repl`).
 
 #include <gtest/gtest.h>
 
@@ -29,7 +29,7 @@ constexpr int64_t kSpan1g = 64;
 
 P2mTable MakeTable(int num_vcpus = 2) {
   P2mTable p2m(kPages);
-  p2m.ConfigureTlb(num_vcpus);
+  p2m.ConfigureVcpus(num_vcpus);
   p2m.MapRange(0, kPages, kBase);
   return p2m;
 }
@@ -105,8 +105,9 @@ TEST(P2mReplicationTest, RemoteWalkLazilyRestampsItsNodesReplica) {
   p2m.AuditCounters();
 }
 
-// Satellite contract: dropping one node's replica mid-epoch clips the
-// cached runs of exactly the vCPUs walking from that node.
+// Dropping one node's replica mid-epoch affects exactly the vCPUs walking
+// from that node: their next walk is remote and re-stamps the dropped
+// node, while walks from other nodes leave it alone.
 TEST(P2mReplicationTest, MidEpochReplicaDropClipsOnlyThatNodesVcpus) {
   P2mTable p2m = MakeTable(/*num_vcpus=*/2);
   p2m.EnableReplication(kNodes, 0);
@@ -115,33 +116,36 @@ TEST(P2mReplicationTest, MidEpochReplicaDropClipsOnlyThatNodesVcpus) {
   p2m.FillReplica(1);
   p2m.FillReplica(2);
 
+  // Walks over current copies change nothing.
   (void)p2m.LookupRun(0, 0);
   (void)p2m.LookupRun(0, 1);
-  const int64_t misses_after_fill = p2m.tlb_misses();
-  (void)p2m.LookupRun(0, 0);
-  (void)p2m.LookupRun(0, 1);
-  EXPECT_EQ(p2m.tlb_misses(), misses_after_fill);  // both cached
-  const int64_t hits_before = p2m.tlb_hits();
+  EXPECT_EQ(p2m.ReplicaCoverage(1), 1.0);
+  EXPECT_EQ(p2m.ReplicaCoverage(2), 1.0);
 
+  const int64_t inval_before = p2m.replica_invalidations();
   p2m.InvalidateReplicas(1);
+  EXPECT_EQ(p2m.replica_invalidations(), inval_before + 1);
   EXPECT_EQ(p2m.ReplicaCoverage(1), 0.0);
   EXPECT_EQ(p2m.ReplicaCoverage(2), 1.0);
 
-  // vCPU 0 (node 1) must re-walk; vCPU 1 (node 2) still hits its cache.
+  // vCPU 0 (node 1) re-walks and re-stamps the chunk it resolved on node 1
+  // only; vCPU 1's walks (node 2) never touch node 1's replica.
   (void)p2m.LookupRun(0, 0);
-  EXPECT_EQ(p2m.tlb_misses(), misses_after_fill + 1);
-  (void)p2m.LookupRun(0, 1);
-  EXPECT_EQ(p2m.tlb_hits(), hits_before + 1);
+  EXPECT_DOUBLE_EQ(p2m.ReplicaCoverage(1), 1.0 / 8.0);
+  EXPECT_EQ(p2m.ReplicaCoverage(2), 1.0);
+  (void)p2m.LookupRun(600, 1);
+  EXPECT_DOUBLE_EQ(p2m.ReplicaCoverage(1), 1.0 / 8.0);
+  EXPECT_EQ(p2m.ReplicaCoverage(2), 1.0);
   p2m.AuditCounters();
 }
 
-// Satellite contract: a superpage split under replication stales every
-// replica's superpage stamp and clips cached superpage runs on all
-// contexts (PR-6's sp-generation interaction).
+// A superpage split under replication stales every replica's superpage
+// stamp and the split chunk's copy; a walk from one node then re-stamps
+// that node alone.
 TEST(P2mReplicationTest, SplitUnderReplicationClipsAllReplicas) {
   P2mTable p2m(kPages);
   p2m.ConfigureOrders(PageOrder::k1G, kSpan2m, kSpan1g);
-  p2m.ConfigureTlb(2);
+  p2m.ConfigureVcpus(2);
   p2m.MapRange(0, kPages, kBase);
   ASSERT_GT(p2m.SuperpageCount(PageOrder::k1G), 0);
 
@@ -152,13 +156,11 @@ TEST(P2mReplicationTest, SplitUnderReplicationClipsAllReplicas) {
   p2m.FillReplica(2);
   EXPECT_EQ(p2m.ReplicaCoverage(1), 1.0);
 
-  // Cache the same superpage run on both contexts.
+  // Both nodes walk the same superpage run over current copies.
   (void)p2m.LookupRun(0, 0);
   (void)p2m.LookupRun(0, 1);
-  const int64_t misses_cached = p2m.tlb_misses();
-  (void)p2m.LookupRun(0, 0);
-  (void)p2m.LookupRun(0, 1);
-  ASSERT_EQ(p2m.tlb_misses(), misses_cached);
+  EXPECT_EQ(p2m.ReplicaCoverage(1), 1.0);
+  EXPECT_EQ(p2m.ReplicaCoverage(2), 1.0);
 
   // A per-page mutation inside the superpage shatters it: the sp
   // generation bump stales the stamp on BOTH replicas...
@@ -170,10 +172,13 @@ TEST(P2mReplicationTest, SplitUnderReplicationClipsAllReplicas) {
   EXPECT_LT(p2m.ReplicaCoverage(2), 1.0);
   EXPECT_EQ(p2m.ReplicaCoverage(1), p2m.ReplicaCoverage(2));
 
-  // ...and both contexts' cached superpage runs are clipped.
+  // ...and a walk from node 1 over the shattered span (a 2M child, then
+  // the split chunk) re-stamps node 1 alone.
+  const double stale = p2m.ReplicaCoverage(2);
   (void)p2m.LookupRun(0, 0);
-  (void)p2m.LookupRun(0, 1);
-  EXPECT_EQ(p2m.tlb_misses(), misses_cached + 2);
+  (void)p2m.LookupRun(kSpan1g / 2, 0);
+  EXPECT_EQ(p2m.ReplicaCoverage(1), 1.0);
+  EXPECT_EQ(p2m.ReplicaCoverage(2), stale);
   p2m.AuditCounters();
 }
 
@@ -240,13 +245,13 @@ TEST(P2mReplicationTest, DestroyDomainTearsDownReplicationState) {
 // Invalidation-vs-walk race: one thread drops and refills a node's replica
 // while vCPUs walk from it. Walks must always return the correct
 // translation (the master never mutates here) without tearing; run under
-// TSan via the `repl-tsan` preset. No observability is attached and no
+// TSan via `ctest --preset tsan -L repl`. No observability is attached and no
 // audit runs concurrently — under this race the valid-chunk counter is a
 // heuristic and may drift, which coverage clamps but an audit would flag.
 TEST(P2mReplicationTest, InvalidateVsWalkRaceReturnsCorrectRuns) {
   constexpr int kReaders = 3;
   P2mTable p2m(kPages);
-  p2m.ConfigureTlb(kReaders);
+  p2m.ConfigureVcpus(kReaders);
   p2m.MapRange(0, kPages, kBase);
   p2m.EnableReplication(kNodes, 0);
   for (int i = 0; i < kReaders; ++i) {

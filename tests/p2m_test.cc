@@ -224,33 +224,6 @@ TEST(P2mTest, PackedRunsExtendAcrossContiguousEntries) {
   EXPECT_EQ(run.mfn, 3000);
 }
 
-TEST(P2mTest, TlbHitsOnRepeatedLookupsAndInvalidates) {
-  P2mTable p2m(1024);
-  p2m.ConfigureTlb(4);
-  p2m.MapRange(0, 512, 0);
-  (void)p2m.LookupRun(10, /*vcpu=*/0);  // miss fills the entry
-  const int64_t misses_after_fill = p2m.tlb_misses();
-  (void)p2m.LookupRun(200, /*vcpu=*/0);  // same run, same context
-  EXPECT_EQ(p2m.tlb_hits(), 1);
-  EXPECT_EQ(p2m.tlb_misses(), misses_after_fill);
-  // A different vCPU context has its own set: first probe misses.
-  (void)p2m.LookupRun(200, /*vcpu=*/1);
-  EXPECT_EQ(p2m.tlb_hits(), 1);
-  // Mutating the chunk bumps its generation; the cached run is dropped.
-  p2m.WriteProtect(300);
-  (void)p2m.LookupRun(10, /*vcpu=*/0);
-  EXPECT_EQ(p2m.tlb_hits(), 1);
-  // A global invalidation drops even untouched cached runs.
-  (void)p2m.LookupRun(10, /*vcpu=*/0);  // re-fill after the mutation
-  EXPECT_EQ(p2m.tlb_hits(), 2);
-  p2m.InvalidateTlb();
-  (void)p2m.LookupRun(10, /*vcpu=*/0);
-  EXPECT_EQ(p2m.tlb_hits(), 2);
-  // The TLB is read-through only: results always match the table.
-  const P2mTable::Run run = p2m.LookupRun(10);
-  EXPECT_EQ(run.mfn + (10 - run.first), 10);
-}
-
 TEST(P2mTest, ReferenceModeMatchesExtentModeOnRandomOps) {
   P2mTable::SetReferenceModeForTest(true);
   P2mTable ref(1024);
