@@ -8,7 +8,7 @@
 #ifndef XENNUMA_SRC_COMMON_RNG_H_
 #define XENNUMA_SRC_COMMON_RNG_H_
 
-#include <cstddef>
+#include <cmath>
 #include <cstdint>
 
 namespace xnuma {
@@ -45,14 +45,32 @@ class Rng {
   // True with probability `p` (clamped to [0, 1]).
   bool NextBool(double p);
 
-  // Normal(0, 1) via Box-Muller; deterministic for a given seed.
-  double NextGaussian();
+  // Normal(0, 1) by a 256-layer ziggurat (Marsaglia & Tsang 2000), with the
+  // bits taken as Doornik (2005) does: one NextU64 gives the layer (low 8
+  // bits) and a signed uniform in [-1, 1) (top 53 bits). A draw inside the
+  // layer's inner rectangle, 98.5% of them, costs that one NextU64, a
+  // multiply and a compare; the rest go to the wedge or tail test, which
+  // consumes further NextU64s. Deterministic for a given seed.
+  double NextGaussian() {
+    const uint64_t bits = NextU64();
+    const int layer = static_cast<int>(bits & (kZigguratLayers - 1));
+    const double x =
+        (static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0) * kZigguratX[layer];
+    if (std::fabs(x) < kZigguratX[layer + 1]) {
+      return x;
+    }
+    return GaussianOutsideRectangle(layer, x);
+  }
 
-  // Writes `n` Normal(0, 1) values to `out`, bit-identical to `n` successive
-  // NextGaussian() calls (including the pending half-pair it consumes on
-  // entry and the one it leaves behind). Draws the uniforms of every whole
-  // pair first, then runs the Box-Muller transforms in one tight loop.
-  void FillGaussian(double* out, size_t n);
+  // Ziggurat layer tables, exposed so tests can check their identities.
+  // x[0] = V / f(R) is the base strip's width, x[1] = R = 3.6541528853610088
+  // is where the tail starts, x[256] = 0; f[i] = exp(-x[i]^2 / 2) except
+  // f[0] = 0. Layer i spans heights [f[i], f[i+1]) with width x[i], and every
+  // layer's area x[i] * (f[i+1] - f[i]) is the same V (the base strip counts
+  // the tail beyond R). Hex-float literals, so no build or libm moves them.
+  static constexpr int kZigguratLayers = 256;
+  static const double kZigguratX[kZigguratLayers + 1];
+  static const double kZigguratF[kZigguratLayers + 1];
 
   // Derives an independent child generator; useful to give each simulated
   // component its own stream without cross-coupling.
@@ -61,9 +79,11 @@ class Rng {
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+  // NextGaussian's slow path: `x` fell outside `layer`'s inner rectangle.
+  // Samples the tail (layer 0) or tests the wedge, drawing afresh on reject.
+  double GaussianOutsideRectangle(int layer, double x);
+
   uint64_t s_[4];
-  bool has_gaussian_ = false;
-  double pending_gaussian_ = 0.0;
 };
 
 }  // namespace xnuma

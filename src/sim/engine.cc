@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <numeric>
 
 #include "src/common/check.h"
 
@@ -1362,14 +1363,22 @@ void Engine::AccumulatePageRates(const JobState& job) {
       }
       const bool hot = region.IsHot(idx);
       const SliceTerm& slice = scan_slices_[region.SliceOf(idx, threads)];
+      const double* row = &rows[hot ? 0 : nodes];
+      const double slice_term = hot ? slice.hot : slice.cold;
+      // IBS-style sampling noise, one draw per (page, node) as the row is
+      // written; the total is summed in node order, as
+      // PageAccessSample::TotalRate does (docs/MODEL.md §6).
+      double total = 0.0;
+      for (NodeId n = 0; n < nodes; ++n) {
+        const double exact = n == slice.node ? row[n] + slice_term : row[n];
+        const double noisy =
+            std::max(0.0, exact * (1.0 + config_.sampling_noise * rng_.NextGaussian()));
+        scan_rates_.push_back(noisy);
+        total += noisy;
+      }
       scan_pfn_.push_back(page.pfn);
       scan_written_.push_back(written);
-      const size_t base = scan_rates_.size();
-      const double* row = &rows[hot ? 0 : nodes];
-      scan_rates_.insert(scan_rates_.end(), row, row + nodes);
-      if (slice.node != kInvalidNode) {
-        scan_rates_[base + slice.node] += hot ? slice.hot : slice.cold;
-      }
+      scan_totals_.push_back(total);
     }
   }
 }
@@ -1382,6 +1391,7 @@ void Engine::SampleHotPages(DomainId domain, int max_pages,
   scan_pfn_.clear();
   scan_written_.clear();
   scan_rates_.clear();
+  scan_totals_.clear();
   for (const auto& jptr : jobs_) {
     if (jptr->spec.domain == domain && !jptr->finished) {
       RefreshPlacementTables(*jptr);
@@ -1391,35 +1401,17 @@ void Engine::SampleHotPages(DomainId domain, int max_pages,
   const size_t nodes = static_cast<size_t>(hv_->topology().num_nodes());
   const size_t count = scan_pfn_.size();
 
-  // IBS-style sampling noise: one draw per (page, node), page-major, in
-  // bounded chunks so the noise buffer stays small (docs/MODEL.md §6).
-  constexpr size_t kNoiseChunk = 1024;
-  scan_noise_.resize(kNoiseChunk);
-  for (size_t begin = 0; begin < scan_rates_.size(); begin += kNoiseChunk) {
-    const size_t len = std::min(kNoiseChunk, scan_rates_.size() - begin);
-    rng_.FillGaussian(scan_noise_.data(), len);
-    double* rates = &scan_rates_[begin];
-    for (size_t i = 0; i < len; ++i) {
-      rates[i] = std::max(0.0, rates[i] * (1.0 + config_.sampling_noise * scan_noise_[i]));
-    }
-  }
-
-  // Noisy totals summed in node order, as PageAccessSample::TotalRate does,
-  // so sorting indices by them reproduces sorting the samples themselves.
-  scan_totals_.resize(count);
+  // Top `max_pages` by noisy total, ties broken by candidate index, so the
+  // order does not depend on the library's selection algorithm.
   scan_order_.resize(count);
-  for (size_t p = 0; p < count; ++p) {
-    double total = 0.0;
-    for (size_t n = 0; n < nodes; ++n) {
-      total += scan_rates_[p * nodes + n];
-    }
-    scan_totals_[p] = total;
-    scan_order_[p] = static_cast<uint32_t>(p);
-  }
+  std::iota(scan_order_.begin(), scan_order_.end(), 0u);
   const size_t keep = std::min(static_cast<size_t>(std::max(max_pages, 0)), count);
   const std::vector<double>& totals = scan_totals_;
-  std::partial_sort(scan_order_.begin(), scan_order_.begin() + keep, scan_order_.end(),
-                    [&totals](uint32_t a, uint32_t b) { return totals[a] > totals[b]; });
+  const auto hotter = [&totals](uint32_t a, uint32_t b) {
+    return totals[a] > totals[b] || (totals[a] == totals[b] && a < b);
+  };
+  std::nth_element(scan_order_.begin(), scan_order_.begin() + keep, scan_order_.end(), hotter);
+  std::sort(scan_order_.begin(), scan_order_.begin() + keep, hotter);
   for (size_t k = 0; k < keep; ++k) {
     const size_t p = scan_order_[k];
     PageAccessSample sample;

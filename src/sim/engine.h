@@ -296,9 +296,10 @@ class Engine : public PageAccessSource {
   // totals stay in the CSV, see trace.h).
   void EmitEpochObservability(double now);
   void TickScheduler(double now);
-  // Per-page access rates by source node for sampling; appends the job's
-  // candidate pages to the scan buffers below. Reads the per-page placement
-  // cache (refresh the job first).
+  // Noisy per-page access rates by source node for sampling; appends the
+  // job's candidate pages, their rates and totals to the scan buffers below,
+  // drawing the noise from rng_. Reads the per-page placement cache (refresh
+  // the job first).
   void AccumulatePageRates(const JobState& job);
 
   Hypervisor* hv_;
@@ -381,12 +382,11 @@ class Engine : public PageAccessSource {
   std::vector<GuestOs::VpageEvent> vpage_event_scratch_;
   std::vector<Pfn> pfn_event_scratch_;
   // Hot-page scan buffers, reused across scans: one entry per candidate
-  // page (rates: [page * nodes + node]), then the noisy totals and the index
+  // page (noisy rates: [page * nodes + node]; noisy totals), then the index
   // permutation the top-k selection sorts.
   std::vector<Pfn> scan_pfn_;
   std::vector<uint8_t> scan_written_;
   std::vector<double> scan_rates_;
-  std::vector<double> scan_noise_;
   std::vector<double> scan_totals_;
   std::vector<uint32_t> scan_order_;
   // Per-region scratch: the uniform rate rows of a hot and a cold page, and

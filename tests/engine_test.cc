@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <map>
 
 #include "src/carrefour/system_component.h"
 #include "src/core/experiment.h"
@@ -286,7 +289,7 @@ TEST(EngineTest, HotPageScanGoldenFirstTouchCarrefour) {
   const HotPageScan scan = ScanHotPages(app, {StaticPolicy::kFirstTouch, true},
                                         /*replication=*/false, /*scans=*/4);
   EXPECT_EQ(scan.pages, 192u);
-  EXPECT_EQ(scan.digest, "1df14aa9d0af0140");
+  EXPECT_EQ(scan.digest, "66bce26983b7bf11");
 }
 
 TEST(EngineTest, HotPageScanGoldenRound4kReplicationSkipsReplicas) {
@@ -316,7 +319,201 @@ TEST(EngineTest, HotPageScanGoldenRound4kReplicationSkipsReplicas) {
   EXPECT_GT(scan.pages_replicated, 0);
   EXPECT_FALSE(scan.replicated_sampled);
   EXPECT_EQ(scan.pages, 192u);
-  EXPECT_EQ(scan.digest, "bddd5d10e79a0fe5");
+  EXPECT_EQ(scan.digest, "6307804d1aa31991");
+}
+
+// The noise-stream contract (docs/MODEL.md §6), checked without assuming
+// which Gaussian sampler Rng uses. A machine is paused 0.3 simulated
+// seconds into a Round-4K run without Carrefour: nothing scans or migrates
+// during the run, so `sampling_noise` changes only the scans made after it,
+// and two machines with the same seed hold the same placement and candidate
+// sequence. Each scan asks for more pages than there are candidates, so it
+// returns every one of them.
+constexpr int kEveryPage = 1 << 30;
+
+struct PausedMachine {
+  TestMachine m;
+  DomainId dom = kInvalidDomain;
+};
+
+std::unique_ptr<PausedMachine> PauseRound4k(const AppProfile& app, double noise) {
+  auto p = std::make_unique<PausedMachine>();
+  EngineConfig ec;
+  ec.seed = 7;
+  ec.max_sim_seconds = 0.3;
+  ec.sampling_noise = noise;
+  p->m.engine = std::make_unique<Engine>(p->m.hv, p->m.latency, ec);
+  p->dom = p->m.RunApp(app, {StaticPolicy::kRound4k, false}).domain;
+  return p;
+}
+
+AppProfile ScanContractApp() {
+  AppProfile app = MasterSlaveApp(/*shared_affinity=*/0.9);
+  app.nominal_seconds = 30.0;
+  return app;
+}
+
+std::map<Pfn, std::vector<double>> ExactRates(PausedMachine& exact) {
+  std::vector<PageAccessSample> all;
+  exact.m.engine->SampleHotPages(exact.dom, kEveryPage, &all);
+  std::map<Pfn, std::vector<double>> rates;
+  for (const PageAccessSample& s : all) {
+    rates[s.pfn] = s.rate_by_node;
+  }
+  return rates;
+}
+
+// Replays one scan's draws from `replay`, an Rng in the engine's stream
+// position: one NextGaussian per (candidate, node), candidate-major and
+// node-minor. Matches every returned page to the candidate whose draws
+// reproduce its noisy rates bit for bit, and returns pfn -> candidate index.
+std::map<Pfn, size_t> MatchScanToReplay(const std::vector<PageAccessSample>& scan,
+                                        const std::map<Pfn, std::vector<double>>& exact,
+                                        double sigma, Rng* replay) {
+  const size_t count = scan.size();
+  const size_t nodes = scan.front().rate_by_node.size();
+  std::vector<double> draws(count * nodes);
+  for (double& g : draws) {
+    g = replay->NextGaussian();
+  }
+  // Per node, the candidates sorted by their draw, to look a page up by the
+  // draw its noisy rate implies.
+  std::vector<std::vector<std::pair<double, size_t>>> by_draw(nodes);
+  for (size_t n = 0; n < nodes; ++n) {
+    for (size_t c = 0; c < count; ++c) {
+      by_draw[n].emplace_back(draws[c * nodes + n], c);
+    }
+    std::sort(by_draw[n].begin(), by_draw[n].end());
+  }
+  std::map<Pfn, size_t> candidate;
+  std::vector<bool> used(count, false);
+  for (const PageAccessSample& s : scan) {
+    const std::vector<double>& e = exact.at(s.pfn);
+    size_t n = 0;
+    while (n < nodes && s.rate_by_node[n] <= 0.0) {
+      ++n;
+    }
+    EXPECT_LT(n, nodes) << "pfn " << s.pfn << " has no positive noisy rate";
+    if (n == nodes) {
+      continue;
+    }
+    const double implied = (s.rate_by_node[n] / e[n] - 1.0) / sigma;
+    const auto& col = by_draw[n];
+    auto it = std::lower_bound(col.begin(), col.end(), std::make_pair(implied, size_t{0}));
+    if (it == col.end() || (it != col.begin() && implied - (it - 1)->first < it->first - implied)) {
+      --it;
+    }
+    const size_t c = it->second;
+    for (size_t k = 0; k < nodes; ++k) {
+      const double want = std::max(0.0, e[k] * (1.0 + sigma * draws[c * nodes + k]));
+      EXPECT_EQ(std::memcmp(&want, &s.rate_by_node[k], sizeof(double)), 0)
+          << "pfn " << s.pfn << " node " << k;
+    }
+    EXPECT_FALSE(used[c]) << "candidate " << c << " matched twice";
+    used[c] = true;
+    candidate[s.pfn] = c;
+  }
+  return candidate;
+}
+
+// Multiplicative noise: per (page, node), noisy / exact has mean 1 and
+// standard deviation sigma over repeated scans of one placement.
+TEST(EngineTest, HotPageScanNoiseHasUnitMeanAndSigmaSpread) {
+  const AppProfile app = ScanContractApp();
+  auto exact_machine = PauseRound4k(app, 0.0);
+  auto noisy = PauseRound4k(app, 0.25);
+  const std::map<Pfn, std::vector<double>> exact = ExactRates(*exact_machine);
+  ASSERT_GT(exact.size(), 100u);
+  double sum = 0.0;
+  double sum2 = 0.0;
+  int64_t n = 0;
+  for (int scan = 0; scan < 64; ++scan) {
+    std::vector<PageAccessSample> all;
+    noisy->m.engine->SampleHotPages(noisy->dom, kEveryPage, &all);
+    ASSERT_EQ(all.size(), exact.size());
+    for (const PageAccessSample& s : all) {
+      const std::vector<double>& e = exact.at(s.pfn);
+      for (size_t k = 0; k < e.size(); ++k) {
+        if (e[k] > 0.0) {
+          const double ratio = s.rate_by_node[k] / e[k];
+          sum += ratio;
+          sum2 += ratio * ratio;
+          ++n;
+        }
+      }
+    }
+  }
+  ASSERT_GT(n, 100000);
+  const double mean = sum / n;
+  const double sd = std::sqrt(sum2 / n - mean * mean);
+  // Clamping at 0 touches 1 + 0.25 g < 0, i.e. g < -4 (3e-5 of draws);
+  // the bounds are over 10 standard errors wide at n > 10^5.
+  EXPECT_NEAR(mean, 1.0, 0.01);
+  EXPECT_NEAR(sd, 0.25, 0.01);
+}
+
+// Two consecutive scans consume the engine's stream exactly as a replay
+// does: the engine forks one Rng per job from its seed, then every scan
+// draws one Gaussian per (candidate, node), kept or not, and no other.
+TEST(EngineTest, HotPageScanConsumesOneDrawPerPageNodeInCandidateOrder) {
+  const AppProfile app = ScanContractApp();
+  auto exact_machine = PauseRound4k(app, 0.0);
+  auto noisy = PauseRound4k(app, 0.25);
+  const std::map<Pfn, std::vector<double>> exact = ExactRates(*exact_machine);
+  Rng replay(7);
+  replay.Fork();  // AddJob's fork of the job's own stream
+  std::map<Pfn, size_t> first;
+  for (int scan = 0; scan < 2; ++scan) {
+    SCOPED_TRACE(::testing::Message() << "scan " << scan);
+    std::vector<PageAccessSample> all;
+    noisy->m.engine->SampleHotPages(noisy->dom, kEveryPage, &all);
+    ASSERT_EQ(all.size(), exact.size());
+    const std::map<Pfn, size_t> candidate = MatchScanToReplay(all, exact, 0.25, &replay);
+    EXPECT_EQ(candidate.size(), all.size());
+    if (scan == 0) {
+      first = candidate;
+    } else {
+      EXPECT_EQ(candidate, first);  // the same candidate sequence both times
+    }
+  }
+}
+
+// Pages with equal totals come back in candidate order, and a smaller
+// `max_pages` keeps a prefix of a larger one even when it cuts a tie.
+TEST(EngineTest, HotPageScanOrdersTiesByCandidateIndex) {
+  const AppProfile app = ScanContractApp();
+  auto exact_machine = PauseRound4k(app, 0.0);
+  auto noisy = PauseRound4k(app, 0.25);
+  const std::map<Pfn, std::vector<double>> exact = ExactRates(*exact_machine);
+  std::vector<PageAccessSample> noisy_all;
+  noisy->m.engine->SampleHotPages(noisy->dom, kEveryPage, &noisy_all);
+  Rng replay(7);
+  replay.Fork();
+  const std::map<Pfn, size_t> candidate = MatchScanToReplay(noisy_all, exact, 0.25, &replay);
+  ASSERT_EQ(candidate.size(), exact.size());
+
+  // Without noise whole groups of pages share a total.
+  std::vector<PageAccessSample> all;
+  exact_machine->m.engine->SampleHotPages(exact_machine->dom, kEveryPage, &all);
+  int ties = 0;
+  size_t cut = 0;
+  for (size_t i = 1; i < all.size(); ++i) {
+    ASSERT_GE(all[i - 1].TotalRate(), all[i].TotalRate());
+    if (all[i - 1].TotalRate() == all[i].TotalRate()) {
+      ++ties;
+      EXPECT_LT(candidate.at(all[i - 1].pfn), candidate.at(all[i].pfn)) << "rank " << i;
+      if (cut == 0) {
+        cut = i;  // a max_pages that splits this tie group
+      }
+    }
+  }
+  ASSERT_GT(ties, 100);
+  std::vector<PageAccessSample> prefix;
+  exact_machine->m.engine->SampleHotPages(exact_machine->dom, static_cast<int>(cut), &prefix);
+  ASSERT_EQ(prefix.size(), cut);
+  for (size_t i = 0; i < cut; ++i) {
+    EXPECT_EQ(prefix[i].pfn, all[i].pfn) << "rank " << i;
+  }
 }
 
 TEST(EngineTest, ReleaseChurnExercisesPvQueue) {

@@ -10,8 +10,13 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build}"
 
+# The paper clock's binaries: every fig/table/extra binary the paper
+# digests pin (tests/golden/paper_digests.sha256).
+mapfile -t PAPER_BINS < <(awk '{ print $2 }' "$ROOT/tests/golden/paper_digests.sha256")
+
 cmake -B "$BUILD" -S "$ROOT" >/dev/null
-cmake --build "$BUILD" -j --target micro_engine_epoch extra_churn extra_replication xnuma >/dev/null
+cmake --build "$BUILD" -j --target micro_engine_epoch extra_churn extra_replication xnuma \
+  "${PAPER_BINS[@]}" >/dev/null
 
 "$BUILD/bench/micro_engine_epoch" | tee "$ROOT/BENCH_engine.json"
 
@@ -19,7 +24,8 @@ cmake --build "$BUILD" -j --target micro_engine_epoch extra_churn extra_replicat
 # into BENCH_engine.json so one file carries the whole perf record.
 CHURN_JSON="$(mktemp)"
 REPL_JSON="$(mktemp)"
-trap 'rm -f "$CHURN_JSON" "$REPL_JSON"' EXIT
+PAPER_JSON="$(mktemp)"
+trap 'rm -f "$CHURN_JSON" "$REPL_JSON" "$PAPER_JSON"' EXIT
 "$BUILD/bench/extra_churn" | tee "$CHURN_JSON"
 { head -n -1 "$ROOT/BENCH_engine.json"
   printf '  ,"churn": '
@@ -43,6 +49,50 @@ mv "$ROOT/BENCH_engine.json.tmp" "$ROOT/BENCH_engine.json"
 # can be cross-read against what the machine was actually doing.
 "$BUILD/tools/xnuma" run --app cg.C --stack xen+ --policy first-touch --carrefour \
   --seconds 10 --metrics-json "$ROOT/BENCH_metrics.json" >/dev/null
+
+# Paper clock (ROADMAP north star): the wall time to regenerate the whole
+# paper, every binary above run serially at --jobs 1, spliced in per binary
+# and as their sum `paper_wall_s`. A ceiling: `paper_wall_s` in
+# tools/bench_ratchet.json is a measured sum plus a stated margin, lowered
+# when an optimization lands.
+total_ns=0
+{
+  printf '{\n    "binaries_s": {'
+  sep=""
+  for name in "${PAPER_BINS[@]}"; do
+    start_ns=$(date +%s%N)
+    "$BUILD/bench/$name" --jobs 1 </dev/null >/dev/null
+    elapsed_ns=$(( $(date +%s%N) - start_ns ))
+    total_ns=$(( total_ns + elapsed_ns ))
+    printf '%s\n      "%s": %s' "$sep" "$name" "$(awk -v ns="$elapsed_ns" 'BEGIN { printf "%.3f", ns / 1e9 }')"
+    sep=","
+  done
+  printf '\n    },\n    "paper_wall_s": %s\n  }\n' "$(awk -v ns="$total_ns" 'BEGIN { printf "%.3f", ns / 1e9 }')"
+} > "$PAPER_JSON"
+cat "$PAPER_JSON"
+{ head -n -1 "$ROOT/BENCH_engine.json"
+  printf '  ,"paper_clock": '
+  cat "$PAPER_JSON"
+  printf '}\n'
+} > "$ROOT/BENCH_engine.json.tmp"
+mv "$ROOT/BENCH_engine.json.tmp" "$ROOT/BENCH_engine.json"
+
+awk -F': ' '
+FNR == NR {
+  if ($1 ~ /"paper_wall_s"/) { gsub(/[,} ]/, "", $2); ceiling = $2 + 0 }
+  next
+}
+/"paper_wall_s"/ { gsub(/[,}]/, "", $2); wall = $2 + 0; found = 1 }
+END {
+  if (!found)   { print "FAIL: paper_wall_s missing from bench output"; exit 1 }
+  if (!ceiling) { print "FAIL: paper_wall_s missing from tools/bench_ratchet.json"; exit 1 }
+  if (wall > ceiling) {
+    printf "FAIL: paper clock %.2f s serial exceeds ceiling %.2f s\n", wall, ceiling
+    exit 1
+  }
+  printf "OK: paper clock %.2f s serial (ceiling %.2f s)\n", wall, ceiling
+}
+' "$ROOT/tools/bench_ratchet.json" "$ROOT/BENCH_engine.json"
 
 # The fault-injection layer armed at probability 0 must cost < 2% epochs/sec
 # (mean over configs of the median over interleaved unarmed/armed trials;
